@@ -1,6 +1,5 @@
 #include "engine/direct_engine.h"
 
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -15,8 +14,6 @@
 #include "util/fault_point.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "vm/compiler.h"
-#include "vm/vm.h"
 
 namespace htl {
 
@@ -25,41 +22,12 @@ DirectEngine::DirectEngine(const VideoTree* video, QueryOptions options)
   HTL_CHECK(video != nullptr);
 }
 
-DirectEngine::~DirectEngine() = default;
-
 void DirectEngine::ClearCache() {
-  // Programs (programs_) survive: they depend only on the formula text and
-  // the engine's options, not on video meta-data.
   atomic_cache_.clear();
   value_cache_.clear();
 }
 
 Result<SimilarityList> DirectEngine::EvaluateList(int level, const Formula& f) {
-  switch (options_.engine_mode) {
-    case EngineMode::kInterpret:
-      return EvaluateListInterpreted(level, f);
-    case EngineMode::kVm:
-      return EvaluateListVm(level, f);
-    case EngineMode::kDifferential:
-      return EvaluateListDifferential(level, f);
-  }
-  return Status::Internal("unknown engine mode");
-}
-
-Result<Sim> DirectEngine::EvaluateVideo(const Formula& f) {
-  switch (options_.engine_mode) {
-    case EngineMode::kInterpret:
-      return EvaluateVideoInterpreted(f);
-    case EngineMode::kVm:
-      return EvaluateVideoVm(f);
-    case EngineMode::kDifferential:
-      return EvaluateVideoDifferential(f);
-  }
-  return Status::Internal("unknown engine mode");
-}
-
-Result<SimilarityList> DirectEngine::EvaluateListInterpreted(int level,
-                                                             const Formula& f) {
   if (level < 1 || level > video_->num_levels()) {
     return Status::OutOfRange(StrCat("level ", level, " out of range"));
   }
@@ -75,150 +43,12 @@ Result<SimilarityList> DirectEngine::EvaluateListInterpreted(int level,
   return table.ToList(MaxSimilarity(f));
 }
 
-Result<Sim> DirectEngine::EvaluateVideoInterpreted(const Formula& f) {
+Result<Sim> DirectEngine::EvaluateVideo(const Formula& f) {
   HTL_ASSIGN_OR_RETURN(SimilarityTable table, EvalTable(1, Interval{1, 1}, f));
   if (!table.object_vars().empty() || !table.attr_vars().empty()) {
     return Status::InvalidArgument("formula has free variables");
   }
   return table.ToList(MaxSimilarity(f)).ValueAt(1);
-}
-
-Result<const vm::Program*> DirectEngine::GetProgram(const Formula& f) {
-  const std::string text = f.ToString();
-  auto it = programs_.find(text);
-  if (it == programs_.end()) {
-    HTL_ASSIGN_OR_RETURN(vm::Program prog, vm::Compile(f, options_));
-    it = programs_
-             .emplace(text, std::make_unique<const vm::Program>(std::move(prog)))
-             .first;
-  }
-  return it->second.get();
-}
-
-vm::ExecEnv DirectEngine::MakeVmEnv() {
-  vm::ExecEnv env;
-  env.video = video_;
-  env.pictures = &pictures_;
-  env.exec = exec_;
-  env.trace = trace();
-  env.until_threshold = options_.until_threshold;
-  env.list_cache = list_cache_;
-  env.cache_video_id = cache_video_id_;
-  env.cache_epoch = cache_epoch_;
-  env.cache_mode = options_.cache_mode;
-  env.atomic_cache = &atomic_cache_;
-  env.value_cache = &value_cache_;
-  env.atomic_queries = &counters_.atomic_queries;
-  env.atomic_cache_hits = &counters_.atomic_cache_hits;
-  env.table_joins = &counters_.table_joins;
-  env.exists_collapses = &counters_.exists_collapses;
-  env.freeze_joins = &counters_.freeze_joins;
-  env.level_evaluations = &counters_.level_evaluations;
-  return env;
-}
-
-namespace {
-
-// The interpreter's top-level closedness error, rebuilt from the runtime
-// root table so the two executors produce byte-identical messages.
-Status FreeVariableError(const SimilarityTable& table) {
-  return Status::InvalidArgument(
-      StrCat("formula has free variables (", StrJoin(table.object_vars(), ","),
-             StrJoin(table.attr_vars(), ","), "); retrieval queries must be closed"));
-}
-
-}  // namespace
-
-Result<SimilarityList> DirectEngine::EvaluateListVm(int level, const Formula& f) {
-  if (level < 1 || level > video_->num_levels()) {
-    return Status::OutOfRange(StrCat("level ", level, " out of range"));
-  }
-  HTL_ASSIGN_OR_RETURN(const vm::Program* prog, GetProgram(f));
-  if (arena_ == nullptr) arena_ = std::make_unique<vm::Arena>();
-  arena_->Reset();
-  vm::Executor ex(*prog, MakeVmEnv(), arena_.get());
-  HTL_RETURN_IF_ERROR(ex.Run(level, Interval{1, video_->NumSegments(level)}));
-  const vm::RootView root = ex.Root();
-  if (root.is_list) {
-    return vm::Executor::MaterializeList(root, prog->root_max);
-  }
-  HTL_DCHECK_OK(root.table->CheckInvariants());
-  if (!root.table->object_vars().empty() || !root.table->attr_vars().empty()) {
-    return FreeVariableError(*root.table);
-  }
-  return root.table->ToList(prog->root_max);
-}
-
-Result<Sim> DirectEngine::EvaluateVideoVm(const Formula& f) {
-  HTL_ASSIGN_OR_RETURN(const vm::Program* prog, GetProgram(f));
-  if (arena_ == nullptr) arena_ = std::make_unique<vm::Arena>();
-  arena_->Reset();
-  vm::Executor ex(*prog, MakeVmEnv(), arena_.get());
-  HTL_RETURN_IF_ERROR(ex.Run(1, Interval{1, 1}));
-  const vm::RootView root = ex.Root();
-  if (root.is_list) {
-    return vm::Executor::MaterializeList(root, prog->root_max).ValueAt(1);
-  }
-  if (!root.table->object_vars().empty() || !root.table->attr_vars().empty()) {
-    return Status::InvalidArgument("formula has free variables");
-  }
-  return root.table->ToList(prog->root_max).ValueAt(1);
-}
-
-namespace {
-
-// Shared skeleton of the two differential entry points. Runs the interpreter
-// then the VM from the same starting budget snapshot, verifies value and
-// status bit-equality, and returns the interpreter's result (budget usage is
-// left at the interpreter run's value, so downstream behaviour matches
-// kInterpret exactly). Budget *charges* are not compared here: the two runs
-// share this engine's caches, so the second run legitimately hits entries
-// the first one filled and charges less. The property battery compares
-// charges across two engines with identical fresh state instead.
-template <typename T, typename InterpFn, typename VmFn>
-Result<T> RunDifferential(ExecContext* exec, InterpFn interp, VmFn vm_run) {
-  ExecContext::UnitUsage start;
-  if (exec != nullptr) start = exec->unit_usage();
-  Result<T> a = interp();
-  ExecContext::UnitUsage after_interp;
-  if (exec != nullptr) {
-    after_interp = exec->unit_usage();
-    exec->RestoreUnitUsage(start);
-  }
-  Result<T> b = vm_run();
-  if (exec != nullptr) exec->RestoreUnitUsage(after_interp);
-  // Deadline expiry and cancellation are time- and race-dependent, so the
-  // two runs legitimately observe them at different points; propagate the
-  // abort instead of calling it a divergence.
-  if (a.status().IsQueryAbort() || b.status().IsQueryAbort()) {
-    if (!a.ok()) return a;
-    return b;
-  }
-  if (a.ok() != b.ok() || (!a.ok() && !(a.status() == b.status()))) {
-    return Status::Internal(
-        StrCat("engine divergence (status): interpreter=", a.status().ToString(),
-               " vm=", b.status().ToString()));
-  }
-  if (!a.ok()) return a;
-  if (!(a.value() == b.value())) {
-    return Status::Internal("engine divergence (result bits)");
-  }
-  return a;
-}
-
-}  // namespace
-
-Result<SimilarityList> DirectEngine::EvaluateListDifferential(int level,
-                                                              const Formula& f) {
-  return RunDifferential<SimilarityList>(
-      exec_, [&] { return EvaluateListInterpreted(level, f); },
-      [&] { return EvaluateListVm(level, f); });
-}
-
-Result<Sim> DirectEngine::EvaluateVideoDifferential(const Formula& f) {
-  return RunDifferential<Sim>(
-      exec_, [&] { return EvaluateVideoInterpreted(f); },
-      [&] { return EvaluateVideoVm(f); });
 }
 
 Result<int> DirectEngine::ResolveLevel(int level, const LevelSpec& spec) const {
@@ -251,8 +81,7 @@ Result<SimilarityTable> DirectEngine::EvalLevelOp(int level, const Interval& bou
   }
 
   // Accumulate, per (objects, ranges) key, run-length entries over the
-  // parent-level positions. LevelAccumulator is shared with the bytecode
-  // VM's kLevelEval handler so the two executors stay bit-identical.
+  // parent-level positions.
   LevelAccumulator acc;
 
   for (SegmentId pos = bounds.begin; pos <= bounds.end; ++pos) {

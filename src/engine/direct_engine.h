@@ -2,7 +2,6 @@
 #define HTL_ENGINE_DIRECT_ENGINE_H_
 
 #include <map>
-#include <memory>
 #include <string>
 
 #include "engine/exec_context.h"
@@ -20,11 +19,6 @@ namespace htl {
 namespace cache {
 class SimListCache;
 }  // namespace cache
-namespace vm {
-class Arena;
-struct ExecEnv;
-struct Program;
-}  // namespace vm
 
 /// Point-in-time snapshot of one DirectEngine's runtime counters —
 /// observability for the ablation benches and for verifying cache behaviour.
@@ -61,18 +55,14 @@ struct EngineStats {
 ///     subformulas as a list complement; negation over free variables
 ///     reports Unimplemented — use ReferenceEngine for those.
 ///
-/// Two executors implement this strategy (QueryOptions::engine_mode): the
-/// tree-walk interpreter above doubles as the executable specification, and
-/// the register bytecode VM (src/vm/) compiles each formula once and runs it
-/// per video over a bump-pointer arena. They are proven bit-identical —
-/// results, statuses, trace spans, budget charges — by the differential
-/// battery (tests/property/vm_differential_test.cc); kDifferential runs both
-/// on every evaluation and returns Internal on any divergence.
+/// One executor implements this strategy: a tree walk over the formula
+/// (EvalTable / EvalNode / EvalLevelOp). Its oracles are ReferenceEngine
+/// (tests/property/engines_agree_test.cc) and the exact paper tables in
+/// EXPERIMENTS.md (DESIGN.md "One executor").
 class DirectEngine {
  public:
   /// `video` must outlive the engine.
   explicit DirectEngine(const VideoTree* video, QueryOptions options = {});
-  ~DirectEngine();
 
   /// Similarity list of the closed formula `f` over the segments of
   /// `level` (the proper sequence of the root's descendants there).
@@ -144,21 +134,6 @@ class DirectEngine {
     obs::Counter level_evaluations;
   };
 
-  // Per-mode entry points behind EvaluateList / EvaluateVideo.
-  Result<SimilarityList> EvaluateListInterpreted(int level, const Formula& f);
-  Result<SimilarityList> EvaluateListVm(int level, const Formula& f);
-  Result<SimilarityList> EvaluateListDifferential(int level, const Formula& f);
-  Result<Sim> EvaluateVideoInterpreted(const Formula& f);
-  Result<Sim> EvaluateVideoVm(const Formula& f);
-  Result<Sim> EvaluateVideoDifferential(const Formula& f);
-
-  /// The compiled program for `f`, compiling on first use. Programs depend
-  /// only on (formula text, options), both fixed for the engine's lifetime,
-  /// so ClearCache() leaves them alone.
-  Result<const vm::Program*> GetProgram(const Formula& f);
-  /// The VM's borrowed view of this engine's caches, counters and context.
-  vm::ExecEnv MakeVmEnv();
-
   Result<SimilarityTable> EvalTable(int level, const Interval& bounds, const Formula& f);
   /// The operator switch behind EvalTable (which wraps it with the depth
   /// poll, the atomic-subtree cache, and the similarity-list cache).
@@ -186,11 +161,6 @@ class DirectEngine {
   std::map<std::pair<std::string, int>, SimilarityTable> atomic_cache_;
   // Value tables keyed by (term string, level).
   std::map<std::pair<std::string, int>, ValueTable> value_cache_;
-  // Compiled programs keyed by formula text (see GetProgram).
-  std::map<std::string, std::unique_ptr<const vm::Program>> programs_;
-  // The per-evaluation bump arena the VM runs over; reset at every
-  // evaluation, so peak footprint is the largest single evaluation.
-  std::unique_ptr<vm::Arena> arena_;
 };
 
 /// Evaluates a list-only (type (1), plus the `or` extension) formula over

@@ -188,23 +188,6 @@ class ExecContext {
   int64_t tables_used() const { return tables_used_; }
   int64_t depth_used() const { return depth_used_; }
 
-  /// A snapshot of the per-unit usage counters. engine_mode=kDifferential
-  /// uses this to run both executors from the same starting budget and to
-  /// verify they charged identically; the differential test battery compares
-  /// snapshots across engines.
-  struct UnitUsage {
-    int64_t rows = 0;
-    int64_t tables = 0;
-    int64_t depth = 0;
-    friend bool operator==(const UnitUsage&, const UnitUsage&) = default;
-  };
-  UnitUsage unit_usage() const { return {rows_used_, tables_used_, depth_used_}; }
-  void RestoreUnitUsage(const UnitUsage& u) {
-    rows_used_ = u.rows;
-    tables_used_ = u.tables;
-    depth_used_ = u.depth;
-  }
-
   /// The query trace riding on this context (null for unprofiled queries —
   /// the common case). Engines read it at the same seams where they poll the
   /// context, so profiling reuses the PR 2 threading instead of new plumbing.

@@ -5,8 +5,8 @@
 #include "util/string_util.h"
 
 // htl-lint: allow(exec-context-polling) — the accumulator only folds rows
-// the caller already evaluated and charged; both engines (direct_engine.cc,
-// vm.cc) poll the ExecContext per descendant sequence around these calls.
+// the caller already evaluated and charged; DirectEngine::EvalLevelOp polls
+// the ExecContext per descendant sequence around these calls.
 
 namespace htl {
 

@@ -16,10 +16,7 @@ namespace htl {
 /// every (object bindings, value ranges) key, run-length-encoded entries
 /// over the parent-level positions, then materializes the result table.
 ///
-/// Shared verbatim by the tree-walk interpreter
-/// (DirectEngine::EvalLevelOp) and the bytecode VM's kLevelEval handler
-/// (src/vm/vm.cc), so both executors produce bit-identical level-operator
-/// results by construction — do not fork this logic.
+/// Used by DirectEngine::EvalLevelOp.
 class LevelAccumulator {
  public:
   /// Captures the output schema from the first evaluated position's table

@@ -23,18 +23,12 @@ int64_t CachedQueryResult::ByteSize() const {
 }
 
 std::string OptionsFingerprint(const QueryOptions& options) {
-  const char* engine = "v";
-  switch (options.engine_mode) {
-    case EngineMode::kInterpret: engine = "i"; break;
-    case EngineMode::kVm: engine = "v"; break;
-    case EngineMode::kDifferential: engine = "d"; break;
-  }
   // prune and num_shards never change the ranked output (the differential
   // battery proves bit-identity), but the *reports* they cache differ
   // (videos_pruned, shard partitioning), so they key separately.
   return StrCat("u", options.until_threshold, "|a",
                 options.and_semantics == AndSemantics::kFuzzyMin ? "min" : "sum",
-                "|mb", options.picture.max_bindings, "|e", engine, "|p",
+                "|mb", options.picture.max_bindings, "|p",
                 options.prune ? 1 : 0, "|s", options.num_shards < 1 ? 1 : options.num_shards);
 }
 

@@ -34,17 +34,6 @@ enum class AndSemantics {
   kFuzzyMin,
 };
 
-/// Which executor evaluates formulas inside DirectEngine. Both produce
-/// bit-identical results, statuses, operator trace spans and budget charges
-/// (proven by tests/property/vm_differential_test.cc); they differ only in
-/// speed. The compiled VM is the default; the tree-walk interpreter remains
-/// as the executable specification and differential oracle.
-enum class EngineMode {
-  kInterpret,     // Tree-walk interpreter (the reference path).
-  kVm,            // Compiled register bytecode over an arena (default).
-  kDifferential,  // Run both, compare bit for bit, Internal on divergence.
-};
-
 /// Options shared by the direct and reference engines.
 struct QueryOptions {
   /// The minimum fractional similarity the left operand of `until` must
@@ -81,11 +70,6 @@ struct QueryOptions {
 
   /// Shard count for both caches (values < 1 clamp to 1).
   int cache_shards = 8;
-
-  /// Executor selection (see EngineMode). Part of the cache fingerprint so
-  /// differently-executed results never share cache entries, even though
-  /// they are proven identical.
-  EngineMode engine_mode = EngineMode::kVm;
 
   /// Bound-based top-k pruning (off by default): derive a cheap per-video
   /// upper bound on the attainable fractional similarity (htl/bound.h over

@@ -176,11 +176,13 @@ void RankAndTrim(std::vector<SegmentHit>& all, int64_t k) {
   if (static_cast<int64_t>(all.size()) > k) all.resize(static_cast<size_t>(k));
 }
 
-// Strict wrapper semantics: a degraded run surfaces its first per-video
-// error; deadline/cancel already propagated as the call's own status.
+// Strict wrapper semantics: an incomplete run surfaces its first per-video
+// error, or its first lost shard's when no video failed; deadline/cancel
+// already propagated as the call's own status.
 Status FirstFailure(const RetrievalReport& report) {
-  if (report.failures.empty()) return Status::OK();
-  return report.failures.front().status;
+  if (report.complete()) return Status::OK();
+  if (!report.failures.empty()) return report.failures.front().status;
+  return report.shard_failures.front().status;
 }
 
 // Shared plumbing behind the *Profiled entry points: attach a fresh trace
@@ -500,6 +502,13 @@ Result<SegmentRetrieval> Retriever::RunSegmentQueryCold(
 Result<SegmentRetrieval> Retriever::TopSegmentsWithReport(const Formula& query,
                                                           int level, int64_t k,
                                                           ExecContext* ctx) {
+  // Checked once here: the per-video loop reads a negative level as "named
+  // level absent" and would skip every video, and level 0 would fail each
+  // video separately.
+  if (level < 1) {
+    return Status::InvalidArgument(
+        StrCat("level ", level, " is not a level (levels start at 1)"));
+  }
   return RunSegmentQuery(query, k, ctx,
                          [level] { return StrCat("lvl", level); },
                          [level](MetadataStore::VideoId) { return level; });

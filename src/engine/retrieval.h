@@ -158,8 +158,9 @@ class Retriever {
   Result<FormulaPtr> Prepare(std::string_view query_text) const;
 
   /// Top-k segments at `level` over all videos, ranked by fractional
-  /// similarity (ties: lower video id, then lower segment id). Strict: the
-  /// first per-video error fails the call.
+  /// similarity (ties: lower video id, then lower segment id). Strict: any
+  /// incomplete run fails the call, with the first per-video error or, when
+  /// only shards were lost, the first lost shard's error.
   Result<std::vector<SegmentHit>> TopSegments(const Formula& query, int level,
                                               int64_t k, ExecContext* ctx = nullptr);
   Result<std::vector<SegmentHit>> TopSegments(std::string_view query_text, int level,
@@ -167,8 +168,8 @@ class Retriever {
 
   /// Degradation-tolerant TopSegments: faulting videos are skipped and
   /// recorded; the ranked partial result covers every healthy video. Only
-  /// deadline expiry / cancellation (and Prepare errors for the text
-  /// overload) fail the call itself.
+  /// deadline expiry / cancellation, a `level` below 1 (InvalidArgument),
+  /// and Prepare errors for the text overload fail the call itself.
   Result<SegmentRetrieval> TopSegmentsWithReport(const Formula& query, int level,
                                                  int64_t k, ExecContext* ctx = nullptr);
   Result<SegmentRetrieval> TopSegmentsWithReport(std::string_view query_text, int level,

@@ -135,7 +135,7 @@ double Bound(const Formula& f, const VideoTree& video, const VideoStats& stats,
              int level, const BoundOptions& options) {
   // Maximal atomic-shaped subtrees are one picture query scored by weighted
   // partial matching — regardless of the and-semantics knob, exactly as the
-  // engines fold them (DirectEngine::EvalTable / vm compiler). The bound is
+  // engine folds them (DirectEngine::EvalTable). The bound is
   // the weight fraction of the independently-satisfiable constraints.
   if (f.kind != FormulaKind::kTrue && f.kind != FormulaKind::kFalse &&
       IsAtomicShape(f)) {

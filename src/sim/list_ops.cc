@@ -8,11 +8,9 @@
 
 namespace htl {
 
-// The algorithm cores live in sim/merge_kernels.h, shared with the
-// arena-backed VM kernels (src/vm/vm.cc) so both executors run the same
-// float expressions in the same order. This file instantiates them with
-// std::vector storage and the SimilarityList validation/canonicalization
-// of FromEntriesOrDie.
+// The algorithm cores live in sim/merge_kernels.h. This file instantiates
+// them with std::vector storage and the SimilarityList
+// validation/canonicalization of FromEntriesOrDie.
 
 namespace {
 

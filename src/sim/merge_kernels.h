@@ -11,26 +11,18 @@ namespace htl {
 namespace kernel {
 
 /// Algorithm cores of the similarity-list operators (the section 3.1
-/// linear sweeps), shared between the heap-backed entry points in
-/// list_ops.cc and the arena-backed VM kernels in src/vm/vm.cc.
-///
-/// Both callers instantiate the *same* templates, so the float expressions
-/// run in the same order with the same intermediate values — which is what
-/// makes the compiled engine bit-identical to the interpreter by
-/// construction rather than by coincidence (DESIGN.md "Compiled
-/// execution"). Do not fork these algorithms; the differential battery
-/// (tests/property/vm_differential_test.cc) exists to catch exactly that.
+/// linear sweeps) behind the entry points in list_ops.cc, their only
+/// caller.
 ///
 /// Inputs are runs of a canonical SimilarityList (sorted, disjoint,
 /// actual > 0, adjacent equal runs merged). Outputs are raw runs: sorted,
 /// disjoint, actual > 0, but adjacent equal-valued runs are NOT merged
-/// here — the heap path canonicalizes in SimilarityList::FromEntries, the
-/// VM path in its arena append (vm::CanonicalizeInPlace).
+/// here — list_ops.cc canonicalizes in SimilarityList::FromEntries.
 ///
 /// The `Vec` template parameters need push_back/size/operator[]/back and
-/// value-type SimEntry, Interval, or SegmentId as named; std::vector and
-/// vm::ArenaVec both qualify. Every kernel's output size is bounded by the
-/// limits documented per function, so arena callers can reserve exactly.
+/// value-type SimEntry, Interval, or SegmentId as named; list_ops.cc
+/// passes std::vector. Every kernel's output size is bounded by the limits
+/// documented per function, so callers can reserve exactly.
 
 /// Contiguous view over a list's entries (std::span without <span>).
 struct EntrySpan {

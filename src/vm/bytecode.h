@@ -18,13 +18,10 @@ namespace vm {
 /// post-order: for every formula node the compiler emits one kEnter
 /// (depth-budget poll + optional similarity-list-cache probe) followed by
 /// the node's children and then its compute opcode — so depth charges,
-/// row/table charges, fault points, cache traffic, and obs spans fire in
-/// exactly the interpreter's order (the differential-proof contract,
-/// DESIGN.md "Compiled execution").
-///
-/// tools/lint.py (`vm-opcode-coverage`) requires every enumerator here to
-/// appear in the compiler (vm/compiler.cc), the dispatch switch (vm/vm.cc),
-/// and the disassembler (vm/disasm.cc): no silent partial ops.
+/// row/table charges, fault points, cache traffic, and obs spans would fire
+/// in exactly the interpreter's order. No executor runs the stream
+/// (DESIGN.md "One executor"); the compiler (vm/compiler.cc) and the
+/// disassembler (vm/disasm.cc) handle every enumerator.
 enum class OpCode : uint8_t {
   kEnter,           // Depth poll; cache probe when key >= 0 (hit jumps skip_to).
   kLoadAtomic,      // dst <- picture query (atomic-table cache), clipped to bounds.
@@ -78,8 +75,7 @@ struct Instruction {
 };
 
 /// One maximal atomic subtree: the picture query payload plus the exact
-/// text key the interpreter uses for its per-engine atomic-table cache
-/// (so VM and interpreter share hits on the same engine).
+/// text key the interpreter uses for its per-engine atomic-table cache.
 struct AtomicSlot {
   AtomicFormula atomic;
   std::string text;  // f.ToString() of the subtree — the cache key.

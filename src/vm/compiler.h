@@ -9,9 +9,10 @@
 namespace htl {
 namespace vm {
 
-/// Compiles a bound, rewritten formula into a register program for the
-/// bytecode VM (vm/vm.h). Compilation happens once per (engine, formula
-/// text); execution per video then runs the flat instruction stream.
+/// Compiles a bound, rewritten formula into a register program. Nothing
+/// executes programs (DESIGN.md "One executor"): the compiler and the
+/// disassembler remain only because bench_e2e times this call for its
+/// `vm.compile_us` layer metric.
 ///
 /// What the compiler bakes in:
 ///   - Register typing: a register is an arena similarity list iff the

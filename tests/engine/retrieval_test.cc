@@ -107,6 +107,20 @@ TEST(RetrieverTest, LevelBeyondVideoDepthYieldsNothing) {
   EXPECT_TRUE(hits.empty());
 }
 
+TEST(RetrieverTest, LevelBelowOneIsInvalidArgument) {
+  // One call-level error, not a per-video failure for every video (level 0)
+  // or a silently empty "complete" result (negative levels).
+  MetadataStore store = MakeStore();
+  Retriever r(&store);
+  for (int level : {0, -1}) {
+    SCOPED_TRACE(level);
+    EXPECT_EQ(r.TopSegmentsWithReport("true", level, 10).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.TopSegments("true", level, 10).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(RetrieverTest, CasablancaTopShot) {
   MetadataStore store;
   store.AddVideo(casablanca::MakeVideo());

@@ -223,6 +223,20 @@ TEST_F(ServerTest, ParseErrorComesBackOverTheWire) {
   EXPECT_FALSE(response.message.empty());
 }
 
+TEST_F(ServerTest, LevelBelowOneIsInvalidArgumentOverTheWire) {
+  StartServer(ServerOptions{});
+  for (int32_t level : {0, -1}) {
+    SCOPED_TRACE(level);
+    QueryRequest request;
+    request.level = level;
+    request.query_text = kQuery;
+    ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().Query(request));
+    EXPECT_EQ(response.status, WireStatus::kWireInvalidArgument) << response.message;
+    EXPECT_FALSE(response.partial());
+    EXPECT_TRUE(response.hits.empty());
+  }
+}
+
 TEST_F(ServerTest, WantProfileAttachesExplainText) {
   StartServer(ServerOptions{});
   QueryRequest request;

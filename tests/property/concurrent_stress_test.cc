@@ -55,10 +55,6 @@ TEST(ConcurrentStressTest, MixedQueriesAgainstOneRetrieverWithMetricsChurn) {
   QueryOptions options;
   options.parallelism = 4;
   options.thread_pool = &pool;
-  // Every evaluation runs the interpreter AND the bytecode VM and
-  // cross-checks them bit for bit — under TSan this also races two
-  // executors over the shared per-engine caches.
-  options.engine_mode = EngineMode::kDifferential;
   Retriever retriever(&store, options);  // ONE retriever, shared by all threads.
 
   ASSERT_OK_AND_ASSIGN(

@@ -18,6 +18,16 @@ namespace {
 
 using testing::ListsNear;
 
+void ExpectListsAgree(DirectEngine& direct, ReferenceEngine& reference, int level,
+                      const Formula& f, uint64_t seed) {
+  auto got = direct.EvaluateList(level, f);
+  auto want = reference.EvaluateList(level, f);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString() << "\nformula: " << f.ToString();
+  EXPECT_TRUE(ListsNear(got.value(), want.value(), 1e-9))
+      << "seed " << seed << " formula: " << f.ToString();
+}
+
 void CompareEnginesOnSeed(uint64_t seed, bool allow_or, bool allow_level,
                           int video_levels, bool allow_closed_not = false) {
   Rng rng(seed);
@@ -35,19 +45,29 @@ void CompareEnginesOnSeed(uint64_t seed, bool allow_or, bool allow_level,
   fopts.allow_closed_not = allow_closed_not;
   fopts.max_levels = video.num_levels();
 
+  QueryOptions low_threshold;
+  low_threshold.until_threshold = 0.3;
   DirectEngine direct(&video);
   ReferenceEngine reference(&video);
+  DirectEngine direct_low(&video, low_threshold);
+  ReferenceEngine reference_low(&video, low_threshold);
   for (int trial = 0; trial < 8; ++trial) {
     FormulaPtr f = GenerateFormula(rng, fopts);
     Status bound = Bind(f.get());
     ASSERT_TRUE(bound.ok()) << bound.ToString() << "\n" << f->ToString();
-    // Evaluate at the leaf level (or below the level operator's source).
+    // Evaluate at the leaf level (or below the level operator's source),
+    // at the default `until` threshold and at a lower one.
     const int level = allow_level ? 2 : video.num_levels();
-    auto got = direct.EvaluateList(level, *f);
-    auto want = reference.EvaluateList(level, *f);
+    ExpectListsAgree(direct, reference, level, *f, seed);
+    ExpectListsAgree(direct_low, reference_low, level, *f, seed);
+    // The same formula asserted at the root: whole-video similarity.
+    auto got = direct.EvaluateVideo(*f);
+    auto want = reference.EvaluateVideo(*f);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ASSERT_TRUE(got.ok()) << got.status().ToString() << "\nformula: " << f->ToString();
-    EXPECT_TRUE(ListsNear(got.value(), want.value(), 1e-9))
+    EXPECT_NEAR(got.value().actual, want.value().actual, 1e-9)
+        << "seed " << seed << " formula: " << f->ToString();
+    EXPECT_NEAR(got.value().max, want.value().max, 1e-9)
         << "seed " << seed << " formula: " << f->ToString();
   }
 }

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "engine/query_cache.h"
 #include "engine/retrieval.h"
@@ -343,6 +344,32 @@ TEST_F(FaultInjectionTest, ShardDispatchFaultYieldsTruthfulPartialReport) {
   for (const SegmentHit& h : out.hits) EXPECT_EQ(h.video, 2);
   EXPECT_EQ(out.hits[0].segment, 1);
   EXPECT_NEAR(out.hits[0].sim.actual, 12.382, 1e-9);
+}
+
+// The strict entry points must not hide a lost shard: with no video
+// failure to surface, each fails with the lost shard's status.
+TEST_F(FaultInjectionTest, ShardDispatchFaultFailsTheStrictApi) {
+  FaultSpec spec;
+  spec.fire_on_hit = 1;
+  spec.sticky = false;  // Only shard 0's dispatch fails.
+  QueryOptions options = SerialOptions();
+  options.num_shards = 2;
+  Retriever r(&store_, options);
+  FormulaPtr q = casablanca::Query1Full();
+  std::vector<Status> statuses;
+  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
+  statuses.push_back(r.TopSegments(*q, 2, 8).status());
+  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
+  statuses.push_back(r.TopSegmentsAtNamedLevel(*q, "shot", 8).status());
+  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
+  statuses.push_back(r.TopVideos(*q, 8).status());
+  FaultRegistry::Instance().DisableAll();
+
+  for (const Status& s : statuses) {
+    EXPECT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("engine.shard_dispatch"), std::string::npos)
+        << s.ToString();
+  }
 }
 
 // A faulted bound derivation must degrade to plain unpruned evaluation:

@@ -2,7 +2,7 @@
 // random corpora and random formulas from all four supported classes,
 // bound-based top-k pruning and sharded scatter-gather retrieval reproduce
 // the plain path bit for bit — ranked hits, call statuses, failure lists —
-// serial and parallel, across shard counts, both engine modes, cached and
+// serial and parallel, across shard counts, cached and
 // uncached, strict and degraded (pruning-invariant injected faults, blown
 // per-video budgets). The reports must also stay truthful: every video is
 // accounted for exactly once (evaluated, failed, or pruned), pruned videos
@@ -45,7 +45,6 @@ namespace {
 struct RunConfig {
   int parallelism = 1;
   int num_shards = 1;
-  EngineMode engine_mode = EngineMode::kVm;
   CacheMode cache_mode = CacheMode::kOff;
   AndSemantics and_semantics = AndSemantics::kSum;
   int runs = 1;  // >1 exercises the result cache (cold fill, warm probe).
@@ -67,7 +66,6 @@ std::vector<Outcome> RunArm(const MetadataStore& store, const Formula& f, int le
   QueryOptions options;
   options.parallelism = cfg.parallelism;
   options.num_shards = cfg.num_shards;
-  options.engine_mode = cfg.engine_mode;
   options.cache_mode = cfg.cache_mode;
   options.and_semantics = cfg.and_semantics;
   options.prune = prune;
@@ -376,9 +374,9 @@ TEST(PruneDifferentialTest, ParallelShardedMatchesSerialUnpruned) {
   SweepAllShapes(/*seed_base=*/80, cfg, /*trials=*/3);
 }
 
+// A second two-shard sweep over an independent seed range.
 TEST(PruneDifferentialTest, InterpreterEngineAgreesToo) {
   RunConfig cfg;
-  cfg.engine_mode = EngineMode::kInterpret;
   cfg.num_shards = 2;
   SweepAllShapes(/*seed_base=*/120, cfg, /*trials=*/3);
 }

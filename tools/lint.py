@@ -83,15 +83,6 @@ src/ layout conventions.
                     request paths belong on the list. File-scoped: suppress
                     with `// htl-lint: allow(net-wide-event)` anywhere in the
                     file.
-  vm-opcode-coverage
-                    Every OpCode enumerator in src/vm/bytecode.h must appear
-                    in the compiler (src/vm/compiler.cc), the VM dispatch loop
-                    (src/vm/vm.cc), and the disassembler (src/vm/disasm.cc):
-                    an opcode that one of the three surfaces cannot emit,
-                    execute, or print is a silent partial operator — it
-                    compiles today and fails at query time (CONTRIBUTING.md
-                    ground rule). Repo-level and not suppressible: handle the
-                    opcode in all three files.
   prune-differential
                     While the bound derivation (src/htl/bound.h) exists, its
                     proof obligations must exist with it: the differential
@@ -147,7 +138,6 @@ ALL_RULES = {
     "no-raw-socket",
     "cache-obs",
     "net-wide-event",
-    "vm-opcode-coverage",
     "prune-differential",
     "stale-suppression",
 }
@@ -553,58 +543,6 @@ def check_exec_context_polling(lint: FileLint, code: str) -> None:
             "see CONTRIBUTING.md")
 
 
-# The three surfaces every bytecode operation must cover: emission,
-# execution, and the human-readable listing. A new opcode missing from any
-# one of them is a silent partial operator (CONTRIBUTING.md ground rule).
-VM_BYTECODE_HEADER = "src/vm/bytecode.h"
-VM_OPCODE_SURFACES = (
-    "src/vm/compiler.cc",
-    "src/vm/vm.cc",
-    "src/vm/disasm.cc",
-)
-OPCODE_ENUM_RE = re.compile(r"enum\s+class\s+OpCode[^{]*\{(.*?)\}", re.DOTALL)
-OPCODE_ENUMERATOR_RE = re.compile(r"^\s*(k\w+)\s*[,=]", re.MULTILINE)
-
-
-def check_vm_opcode_coverage() -> list[Finding]:
-    """Repo-level rule: every OpCode enumerator must appear in the compiler,
-    the VM dispatch loop, and the disassembler. Not suppressible."""
-    header = REPO_ROOT / VM_BYTECODE_HEADER
-    if not header.exists():
-        return []
-    header_raw = header.read_text(encoding="utf-8")
-    enum_m = OPCODE_ENUM_RE.search(strip_comments_and_strings(header_raw))
-    if not enum_m:
-        return [Finding(header, 1, "vm-opcode-coverage",
-                        "could not find `enum class OpCode` in the bytecode "
-                        "header; update tools/lint.py if it moved")]
-    opcodes = OPCODE_ENUMERATOR_RE.findall(enum_m.group(1))
-    if not opcodes:
-        return [Finding(header, 1, "vm-opcode-coverage",
-                        "OpCode enum has no enumerators the linter can parse")]
-
-    findings: list[Finding] = []
-    header_lines = header_raw.splitlines()
-    for rel in VM_OPCODE_SURFACES:
-        surface = REPO_ROOT / rel
-        if not surface.exists():
-            findings.append(Finding(header, 1, "vm-opcode-coverage",
-                                    f"opcode surface {rel} is missing"))
-            continue
-        code = strip_comments_and_strings(surface.read_text(encoding="utf-8"))
-        for op in opcodes:
-            if re.search(rf"\b{re.escape(op)}\b", code):
-                continue
-            lineno = next((i + 1 for i, l in enumerate(header_lines)
-                           if re.match(rf"\s*{re.escape(op)}\s*[,=]", l)), 1)
-            findings.append(Finding(
-                header, lineno, "vm-opcode-coverage",
-                f"OpCode::{op} is never referenced in {rel}; every opcode "
-                "must be handled by the compiler, the VM dispatch loop, and "
-                "the disassembler (no silent partial ops)"))
-    return findings
-
-
 # Bound-based pruning's proof obligations (CONTRIBUTING.md ground rule):
 # while the bound derivation exists, the differential battery and the
 # soundness property test must exist with it, each still exercising the
@@ -771,7 +709,6 @@ def main(argv: list[str]) -> int:
     findings: list[Finding] = []
     for f in files:
         findings.extend(lint_file(f))
-    findings.extend(check_vm_opcode_coverage())
     findings.extend(check_prune_differential())
 
     for finding in findings:
