@@ -1,9 +1,9 @@
-// Million-video scale sweep: sharded scatter-gather retrieval with
-// bound-based top-k pruning over synthetic corpora (workload/video_gen
-// GenerateCorpus). For each corpus size the same top-k queries run as
-// paired arms — pruning off vs on, serial unsharded vs sharded-parallel —
-// reporting qps and the pruned fraction, and verifying that every arm
-// returns the unpruned serial arm's ranked output bit for bit.
+// Million-video scale sweep: parallel retrieval with bound-based top-k
+// pruning over synthetic corpora (workload/video_gen GenerateCorpus). For
+// each corpus size the same top-k queries run as paired arms — pruning off
+// vs on, serial vs parallel — reporting qps and the pruned fraction, and
+// verifying that every arm returns the unpruned serial arm's ranked output
+// bit for bit.
 //
 // Gates (CI runs this binary directly; non-zero exit on failure):
 //   - every arm's hits equal the unpruned serial baseline exactly;
@@ -65,7 +65,6 @@ bool SameHits(const std::vector<SegmentHit>& got, const std::vector<SegmentHit>&
 struct Arm {
   const char* label;
   bool prune;
-  int num_shards;
   int parallelism;  // 1 = serial; 0 = default hardware parallelism.
 };
 
@@ -98,10 +97,10 @@ int main() {
       {"broad", "exists x (moving(x))", false},
   };
   const Arm arms[] = {
-      {"serial", false, 1, 1},
-      {"serial+prune", true, 1, 1},
-      {"sharded", false, 8, 0},
-      {"sharded+prune", true, 8, 0},
+      {"serial", false, 1},
+      {"serial+prune", true, 1},
+      {"parallel", false, 0},
+      {"parallel+prune", true, 0},
   };
 
   bool failed = false;
@@ -129,7 +128,6 @@ int main() {
       for (const Arm& arm : arms) {
         QueryOptions options;
         options.prune = arm.prune;
-        options.num_shards = arm.num_shards;
         options.parallelism = arm.parallelism;
         Retriever r(&store, options);
         Result<FormulaPtr> f = r.Prepare(q.text);
@@ -181,7 +179,6 @@ int main() {
         json.Add(StrCat(q.label, " / ", arm.label, " / ", size),
                  {{"size", static_cast<double>(size)},
                   {"prune", arm.prune ? 1.0 : 0.0},
-                  {"num_shards", static_cast<double>(arm.num_shards)},
                   {"seconds_per_query", best_s},
                   {"qps", qps},
                   {"videos_pruned", static_cast<double>(out.report.videos_pruned)},
@@ -190,7 +187,7 @@ int main() {
 
         // The headline gate: at the largest corpus of >= 10^5 videos the
         // selective query must prune at least the limit fraction.
-        if (q.selective && arm.prune && arm.num_shards <= 1 && size >= 100'000 &&
+        if (q.selective && arm.prune && arm.parallelism == 1 && size >= 100'000 &&
             size == sizes.back()) {
           if (pruned_fraction < pruned_limit) {
             std::printf(

@@ -72,8 +72,8 @@ int main() {
                 100 * hit.sim.fraction());
   }
 
-  // 4. Browsing query at the whole-video level.
-  auto videos = retriever.TopVideos("type = 'western'", 3);
+  // 4. Browsing query at the whole-video level: level 1 holds only the root.
+  auto videos = retriever.TopSegments("type = 'western'", /*level=*/1, /*k=*/3);
   std::printf("\nwesterns in the store: %zu\n", videos.value().size());
   return 0;
 }

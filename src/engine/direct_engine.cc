@@ -90,7 +90,6 @@ Result<SimilarityTable> DirectEngine::EvalLevelOp(int level, const Interval& bou
                              ? video_->Children(level, pos)
                              : video_->DescendantsAtLevel(level, pos, target);
     if (seq.empty()) continue;
-    counters_.level_evaluations.Increment();
     HTL_OBS_COUNT("engine.level_evaluations", 1);
     HTL_ASSIGN_OR_RETURN(SimilarityTable t, EvalTable(target, seq, *f.left));
     if (!acc.has_schema()) acc.SetSchema(t.object_vars(), t.attr_vars());
@@ -115,7 +114,6 @@ Result<SimilarityTable> DirectEngine::EvalTable(int level, const Interval& bound
     const auto key = std::make_pair(f.ToString(), level);
     auto it = atomic_cache_.find(key);
     if (it == atomic_cache_.end()) {
-      counters_.atomic_queries.Increment();
       HTL_OBS_COUNT("engine.atomic_queries", 1);
       HTL_OBS_SPAN(span, trace(), "op.picture_query");
       HTL_ASSIGN_OR_RETURN(AtomicFormula atomic, ExtractAtomic(f));
@@ -128,7 +126,6 @@ Result<SimilarityTable> DirectEngine::EvalTable(int level, const Interval& bound
       }
       it = atomic_cache_.emplace(key, std::move(table)).first;
     } else {
-      counters_.atomic_cache_hits.Increment();
       HTL_OBS_COUNT("engine.atomic_cache_hits", 1);
     }
     return MapLists(it->second,
@@ -185,7 +182,6 @@ Result<SimilarityTable> DirectEngine::EvalNode(int level, const Interval& bounds
       HTL_ASSIGN_OR_RETURN(SimilarityTable lhs, EvalTable(level, bounds, *f.left));
       HTL_ASSIGN_OR_RETURN(SimilarityTable rhs, EvalTable(level, bounds, *f.right));
       HTL_FAULT_POINT("engine.table_join");
-      counters_.table_joins.Increment();
       HTL_OBS_COUNT("engine.table_joins", 1);
       // The span opens after the operands are evaluated, so it times the
       // join kernel alone (operand spans nest as siblings, not children).
@@ -222,7 +218,6 @@ Result<SimilarityTable> DirectEngine::EvalNode(int level, const Interval& bounds
       return MapLists(t, [](const SimilarityList& l) { return Eventually(l); });
     }
     case FormulaKind::kExists: {
-      counters_.exists_collapses.Increment();
       HTL_OBS_COUNT("engine.exists_collapses", 1);
       HTL_ASSIGN_OR_RETURN(SimilarityTable t, EvalTable(level, bounds, *f.left));
       HTL_OBS_SPAN(span, trace(), "op.exists_collapse");
@@ -242,7 +237,6 @@ Result<SimilarityTable> DirectEngine::EvalNode(int level, const Interval& bounds
         vspan.AddTables(1);
         it = value_cache_.emplace(key, std::move(vt)).first;
       }
-      counters_.freeze_joins.Increment();
       HTL_OBS_COUNT("engine.freeze_joins", 1);
       HTL_OBS_SPAN(span, trace(), "op.freeze_join");
       span.AddRows(t.num_rows());

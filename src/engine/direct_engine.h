@@ -9,7 +9,6 @@
 #include "htl/ast.h"
 #include "htl/classifier.h"
 #include "model/video.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "picture/picture_system.h"
 #include "sim/sim_table.h"
@@ -19,20 +18,6 @@ namespace htl {
 namespace cache {
 class SimListCache;
 }  // namespace cache
-
-/// Point-in-time snapshot of one DirectEngine's runtime counters —
-/// observability for the ablation benches and for verifying cache behaviour.
-/// Returned by value from DirectEngine::stats(); the live counters are
-/// relaxed atomics (obs::Counter), so snapshotting and ResetStats() are
-/// race-free against a query running on another thread.
-struct EngineStats {
-  int64_t atomic_queries = 0;      // Picture-system queries executed.
-  int64_t atomic_cache_hits = 0;   // Atomic tables served from cache.
-  int64_t table_joins = 0;         // and / or / until joins.
-  int64_t exists_collapses = 0;
-  int64_t freeze_joins = 0;
-  int64_t level_evaluations = 0;   // Per-parent subsequence evaluations.
-};
 
 /// The optimized retrieval engine of section 3: evaluates extended
 /// conjunctive HTL formulas bottom-up over similarity lists and similarity
@@ -100,40 +85,7 @@ class DirectEngine {
   /// retriever samples it once per query before evaluation starts.
   void set_cache_epoch(uint64_t epoch) { cache_epoch_ = epoch; }
 
-  /// Snapshot of the live counters. By value: the underlying counters are
-  /// atomics shared with a possibly-running query, so callers get a coherent
-  /// detached copy instead of a reference into mutating state.
-  EngineStats stats() const {
-    EngineStats s;
-    s.atomic_queries = counters_.atomic_queries.Value();
-    s.atomic_cache_hits = counters_.atomic_cache_hits.Value();
-    s.table_joins = counters_.table_joins.Value();
-    s.exists_collapses = counters_.exists_collapses.Value();
-    s.freeze_joins = counters_.freeze_joins.Value();
-    s.level_evaluations = counters_.level_evaluations.Value();
-    return s;
-  }
-  void ResetStats() {
-    counters_.atomic_queries.Reset();
-    counters_.atomic_cache_hits.Reset();
-    counters_.table_joins.Reset();
-    counters_.exists_collapses.Reset();
-    counters_.freeze_joins.Reset();
-    counters_.level_evaluations.Reset();
-  }
-
  private:
-  /// Live per-engine counters behind EngineStats (PR 3 folded the plain-int
-  /// EngineStats into the obs layer; this is the thin compat backing).
-  struct EngineCounters {
-    obs::Counter atomic_queries;
-    obs::Counter atomic_cache_hits;
-    obs::Counter table_joins;
-    obs::Counter exists_collapses;
-    obs::Counter freeze_joins;
-    obs::Counter level_evaluations;
-  };
-
   Result<SimilarityTable> EvalTable(int level, const Interval& bounds, const Formula& f);
   /// The operator switch behind EvalTable (which wraps it with the depth
   /// poll, the atomic-subtree cache, and the similarity-list cache).
@@ -154,7 +106,6 @@ class DirectEngine {
   cache::SimListCache* list_cache_ = nullptr;  // Not owned; null disables.
   int64_t cache_video_id_ = 0;
   uint64_t cache_epoch_ = 0;
-  EngineCounters counters_;
   // Full-level atomic tables keyed by (formula text, level). Text keys are
   // stable across formula lifetimes (pointer keys would alias when a freed
   // formula's address is reused by a later parse).

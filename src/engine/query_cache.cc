@@ -1,14 +1,12 @@
 #include "engine/query_cache.h"
 
 #include "util/fault_point.h"
-#include "util/string_util.h"
 
 namespace htl {
 
 int64_t CachedQueryResult::ByteSize() const {
   int64_t bytes = static_cast<int64_t>(sizeof(CachedQueryResult));
-  bytes += static_cast<int64_t>(segment_hits.size() * sizeof(SegmentHit));
-  bytes += static_cast<int64_t>(video_hits.size() * sizeof(VideoHit));
+  bytes += static_cast<int64_t>(hits.size() * sizeof(SegmentHit));
   // Failures are only resident transiently (partial results are never
   // stored, but the value is still shared with single-flight waiters).
   bytes += static_cast<int64_t>(report.failures.size() *
@@ -17,19 +15,7 @@ int64_t CachedQueryResult::ByteSize() const {
   // selective query over a large store pays its true cache footprint.
   bytes += static_cast<int64_t>(report.pruned_videos.size() *
                                 sizeof(MetadataStore::VideoId));
-  bytes += static_cast<int64_t>(report.shard_failures.size() *
-                                (sizeof(RetrievalReport::ShardFailure) + 64));
   return bytes;
-}
-
-std::string OptionsFingerprint(const QueryOptions& options) {
-  // prune and num_shards never change the ranked output (the differential
-  // battery proves bit-identity), but the *reports* they cache differ
-  // (videos_pruned, shard partitioning), so they key separately.
-  return StrCat("u", options.until_threshold, "|a",
-                options.and_semantics == AndSemantics::kFuzzyMin ? "min" : "sum",
-                "|mb", options.picture.max_bindings, "|p",
-                options.prune ? 1 : 0, "|s", options.num_shards < 1 ? 1 : options.num_shards);
 }
 
 QueryCaches::QueryCaches(const QueryOptions& options)

@@ -5,7 +5,6 @@
 #include <memory>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "cache/cache_stats.h"
 #include "cache/sharded_cache.h"
@@ -18,26 +17,16 @@
 
 namespace htl {
 
-/// One cached whole-query result: the ranked hits (segment or video form)
-/// plus the report counters. The profile is intentionally left empty —
-/// profiles describe the run that produced them; a hit's profile is its
-/// own `cache.lookup` span. Only complete reports (no failed videos) are
-/// ever stored, so replaying a hit is bit-identical to recomputing on a
-/// healthy store at the same epoch.
-struct CachedQueryResult {
-  std::vector<SegmentHit> segment_hits;
-  std::vector<VideoHit> video_hits;
-  RetrievalReport report;
-
+/// One cached whole-query result: the ranked hits plus the report
+/// counters. The profile is intentionally left empty — profiles describe
+/// the run that produced them; a hit's profile is its own `cache.lookup`
+/// span. Only complete reports (no failed videos) are ever stored, so
+/// replaying a hit is bit-identical to recomputing on a healthy store at
+/// the same epoch.
+struct CachedQueryResult : SegmentRetrieval {
   /// Approximate resident cost charged against the cache capacity.
   int64_t ByteSize() const;
 };
-
-/// Fingerprint of every QueryOptions knob that can change result values
-/// (until_threshold, and semantics, picture limits) — part of every result
-/// cache key. Parallelism and cache sizing are excluded: outputs are
-/// bit-identical across those by contract.
-std::string OptionsFingerprint(const QueryOptions& options);
 
 /// The per-Retriever cache bundle: the whole-query result cache (client
 /// (b) of the tentpole) and the DirectEngine similarity-list cache it

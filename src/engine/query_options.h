@@ -80,14 +80,9 @@ struct QueryOptions {
   /// See DESIGN.md "Scale-out retrieval".
   bool prune = false;
 
-  /// Corpus shard count for scatter-gather retrieval. Values <= 1 run the
-  /// historical per-video loop byte for byte. With N > 1 the video range
-  /// splits into N contiguous shards evaluated under child ExecContexts
-  /// (serially in shard order when parallelism <= 1, otherwise scattered
-  /// over the thread pool); shards share the pruning floor through a
-  /// monotonic atomic, and a shard whose dispatch faults degrades to a
-  /// truthful partial report (RetrievalReport::shard_failures) instead of
-  /// failing the query. Gathered output is identical to the unsharded run.
+  /// Unread: no value changes a result or the partitioning, which is
+  /// `parallelism`'s alone. Kept only because bench_e2e/load.cc assigns it;
+  /// delete it with that line.
   int num_shards = 1;
 
   /// Options forwarded to the picture-retrieval substrate.

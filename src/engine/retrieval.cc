@@ -30,10 +30,6 @@ std::string RetrievalReport::ToString() const {
   std::string out = StrCat("evaluated ", videos_evaluated, ", failed ", videos_failed,
                            ", degraded-to-reference ", videos_degraded, ", pruned ",
                            videos_pruned);
-  for (const ShardFailure& sf : shard_failures) {
-    out += StrCat("; shard ", sf.shard, " lost videos [", sf.first_video, ", ",
-                  sf.last_video, "]: ", sf.status.ToString());
-  }
   for (const VideoFailure& f : failures) {
     out += StrCat("; video ", f.video, ": ", f.status.ToString());
   }
@@ -48,7 +44,6 @@ Retriever::Retriever(const MetadataStore* store, QueryOptions options)
   HTL_CHECK(store != nullptr);
   if (options_.cache_mode != CacheMode::kOff) {
     caches_ = std::make_unique<QueryCaches>(options_);
-    options_fp_ = OptionsFingerprint(options_);
   }
 }
 
@@ -177,12 +172,10 @@ void RankAndTrim(std::vector<SegmentHit>& all, int64_t k) {
 }
 
 // Strict wrapper semantics: an incomplete run surfaces its first per-video
-// error, or its first lost shard's when no video failed; deadline/cancel
-// already propagated as the call's own status.
+// error; deadline/cancel already propagated as the call's own status.
 Status FirstFailure(const RetrievalReport& report) {
   if (report.complete()) return Status::OK();
-  if (!report.failures.empty()) return report.failures.front().status;
-  return report.shard_failures.front().status;
+  return report.failures.front().status;
 }
 
 // Shared plumbing behind the *Profiled entry points: attach a fresh trace
@@ -207,11 +200,20 @@ auto RunProfiled(ExecContext* ctx, const Body& body)
   return out;
 }
 
+// One chunk's share of a query for ForEachVideo: the retrieval result plus
+// the chunk-local pruning scratch — a min-heap of the best k hit fractions
+// seen by this chunk. Once the heap is full its root is the chunk's k-th
+// best, which is a valid lower bound on the global k-th best (the k-th
+// largest of a subset never exceeds the k-th largest of the whole), so it
+// can be published to the shared floor.
+struct SegmentPart : SegmentRetrieval {
+  std::vector<double> best;
+};
+
 // Folds one chunk's partial result into `out`. Chunks cover contiguous
 // ascending video ranges and merge in chunk order, so the concatenated hit
 // and failure sequences match the serial loop exactly.
-template <typename Part>
-void MergeChunk(Part& out, Part&& part) {
+void MergeChunk(SegmentPart& out, SegmentPart&& part) {
   out.report.videos_evaluated += part.report.videos_evaluated;
   out.report.videos_failed += part.report.videos_failed;
   out.report.videos_degraded += part.report.videos_degraded;
@@ -222,24 +224,8 @@ void MergeChunk(Part& out, Part&& part) {
   for (MetadataStore::VideoId v : part.report.pruned_videos) {
     out.report.pruned_videos.push_back(v);
   }
-  for (RetrievalReport::ShardFailure& sf : part.report.shard_failures) {
-    out.report.shard_failures.push_back(std::move(sf));
-  }
   for (auto& hit : part.hits) out.hits.push_back(std::move(hit));
 }
-
-// Part types for ForEachVideo with pruning: the retrieval result plus the
-// chunk/shard-local scratch — a min-heap of the best k hit fractions seen
-// by this part. Once the heap is full its root is the part's k-th best,
-// which is a valid lower bound on the global k-th best (the k-th largest of
-// a subset never exceeds the k-th largest of the whole), so it can be
-// published to the shared floor.
-struct SegmentPart : SegmentRetrieval {
-  std::vector<double> best;
-};
-struct VideoPart : VideoRetrieval {
-  std::vector<double> best;
-};
 
 // Push one retained hit fraction into the local top-k min-heap.
 void PushBest(std::vector<double>& best, int64_t k, double fraction) {
@@ -254,8 +240,8 @@ void PushBest(std::vector<double>& best, int64_t k, double fraction) {
   std::push_heap(best.begin(), best.end(), std::greater<>());
 }
 
-// The monotonically-rising top-k floor one query's chunks and shards share
-// (CAS-max). Relaxed ordering is sound: a stale read only weakens pruning —
+// The monotonically-rising top-k floor one query's chunks share (CAS-max).
+// Relaxed ordering is sound: a stale read only weakens pruning —
 // a video evaluates that could have been skipped — never strengthens it,
 // because published values are true lower bounds on the final k-th-best
 // fraction regardless of when they are observed.
@@ -274,33 +260,26 @@ class PruneFloor {
   std::atomic<double> floor_{0.0};
 };
 
-// The store-wide per-video driver shared by the segment and whole-video
-// entry points. `eval_one(v, ctx, trace, part)` evaluates video `v` into
-// `part` and returns only query-abort errors; per-video failures are
-// recorded in the part's report.
+// The store-wide per-video driver. `eval_one(v, ctx, trace, part)`
+// evaluates video `v` into `part` and returns only query-abort errors;
+// per-video failures are recorded in the part's report.
 //
-// Unsharded (`shards <= 1`), `workers <= 1` (or a 0/1-video store) runs the
-// historical serial loop on the calling thread — bit for bit, including a
-// possibly-null `ctx`. Otherwise the video range splits into contiguous
-// pieces — corpus shards when `shards > 1`, else `workers` parallel chunks —
-// scattered through ParallelFor (the caller participates; a sharded serial
-// run keeps the pool null, so ParallelFor degrades to an in-order loop on
-// the caller). Each piece runs under a child ExecContext chained to a
-// per-call group context: children copy the caller's deadline and budgets,
-// and the first aborting worker records its status and cancels the group,
-// draining the other pieces at their next poll without touching the
-// caller's own context. A sharded piece whose scatter dispatch faults
-// ("engine.shard_dispatch") degrades to a truthful ShardFailure — its range
-// goes unevaluated, the other shards are unaffected. Piece parts merge in
-// piece order, so the gathered output is identical to the serial loop's;
-// per-piece traces (when profiling) are stitched under the caller's
-// innermost open span, also in piece order.
-template <typename Part, typename EvalOne>
-Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers, int shards,
-                    ThreadPool* pool, const EvalOne& eval_one, Part& out) {
+// `workers <= 1` (or a 0/1-video store) runs the historical serial loop on
+// the calling thread — bit for bit, including a possibly-null `ctx`.
+// Otherwise the video range splits into `workers` contiguous chunks
+// scattered through ParallelFor (the caller participates). Each chunk runs
+// under a child ExecContext chained to a per-call group context: children
+// copy the caller's deadline and budgets, and the first aborting worker
+// records its status and cancels the group, draining the other chunks at
+// their next poll without touching the caller's own context. Chunk parts
+// merge in chunk order, so the merged output is identical to the serial
+// loop's; per-chunk traces (when profiling) are stitched under the caller's
+// innermost open span, also in chunk order.
+template <typename EvalOne>
+Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers,
+                    ThreadPool* pool, const EvalOne& eval_one, SegmentPart& out) {
   obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
-  const bool sharded = shards > 1 && num_videos > 0;
-  if (!sharded && (workers <= 1 || num_videos <= 1)) {
+  if (workers <= 1 || num_videos <= 1) {
     for (MetadataStore::VideoId v = 1; v <= num_videos; ++v) {
       HTL_CHECK_EXEC(ctx);  // Deadline/cancel abort the whole call.
       HTL_RETURN_IF_ERROR(eval_one(v, ctx, tr, out));
@@ -310,28 +289,23 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers, int shard
   // Resolved here, not by the caller, so a serial query (the parallelism=1
   // contract, and every query on a 1-CPU host) never instantiates the
   // shared pool's worker threads.
-  if (workers > 1) {
-    if (pool == nullptr) pool = ThreadPool::Shared();
-  } else {
-    pool = nullptr;  // Sharded serial: in-order shard loop on the caller.
-  }
+  if (pool == nullptr) pool = ThreadPool::Shared();
 
-  const int64_t pieces = sharded ? std::min<int64_t>(shards, num_videos)
-                                 : std::min<int64_t>(workers, num_videos);
-  // Even contiguous partition: piece c covers [PieceBegin(c), PieceBegin(c+1)).
-  const auto piece_begin = [num_videos, pieces](int64_t c) {
-    return 1 + c * num_videos / pieces;
+  const int64_t chunks = std::min<int64_t>(workers, num_videos);
+  // Even contiguous partition: chunk c covers [chunk_begin(c), chunk_begin(c+1)).
+  const auto chunk_begin = [num_videos, chunks](int64_t c) {
+    return 1 + c * num_videos / chunks;
   };
 
   // The group context fans cancellation out to every worker child without
   // touching the caller's context (whose cancel flag stays the caller's to
   // set); children observe the group through the parent chain.
   ExecContext group(ctx);
-  std::vector<Part> parts(static_cast<size_t>(pieces));
+  std::vector<SegmentPart> parts(static_cast<size_t>(chunks));
   // QueryTrace is neither copyable nor movable, hence the indirection.
   std::vector<std::unique_ptr<obs::QueryTrace>> worker_traces;
   if (tr != nullptr) {
-    for (int64_t c = 0; c < pieces; ++c) {
+    for (int64_t c = 0; c < chunks; ++c) {
       worker_traces.push_back(std::make_unique<obs::QueryTrace>());
     }
   }
@@ -341,7 +315,7 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers, int shard
   std::atomic<bool> aborted{false};
 
   const Status loop_status = ParallelFor(
-      pool, pieces, [&](int64_t c) -> Status {
+      pool, chunks, [&](int64_t c) -> Status {
         ExecContext child(&group);
         obs::QueryTrace* wtr =
             tr != nullptr ? worker_traces[static_cast<size_t>(c)].get() : nullptr;
@@ -349,25 +323,12 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers, int shard
         // Fault trips under this worker land in its own trace (or nowhere
         // when unprofiled) — never in another thread's.
         obs::ScopedTraceAttach attach(wtr);
-        HTL_OBS_SPAN(wspan, wtr, sharded ? "shard" : "worker");
+        HTL_OBS_SPAN(wspan, wtr, "worker");
         wspan.SetUnit(c);
-        Part& part = parts[static_cast<size_t>(c)];
-        if (sharded && FaultRegistry::Armed()) {
-          // By hand rather than HTL_FAULT_POINT: a failed scatter degrades
-          // to a truthful partial report (this shard's whole range skipped,
-          // named in shard_failures), never a query failure.
-          Status dispatch = FaultRegistry::Instance().Hit("engine.shard_dispatch");
-          if (!dispatch.ok()) {
-            wspan.SetNote(StrCat("shard dispatch failed: ", dispatch.ToString()));
-            part.report.shard_failures.push_back(RetrievalReport::ShardFailure{
-                static_cast<int>(c), piece_begin(c), piece_begin(c + 1) - 1,
-                std::move(dispatch)});
-            return Status::OK();
-          }
-        }
-        for (int64_t v = piece_begin(c); v < piece_begin(c + 1); ++v) {
+        SegmentPart& part = parts[static_cast<size_t>(c)];
+        for (int64_t v = chunk_begin(c); v < chunk_begin(c + 1); ++v) {
           // Drain once any worker aborted: the merged result is discarded,
-          // so finishing the piece would be wasted work.
+          // so finishing the chunk would be wasted work.
           if (aborted.load(std::memory_order_relaxed)) return Status::OK();
           Status s = child.Check();
           if (s.ok()) s = eval_one(v, &child, wtr, part);
@@ -398,7 +359,7 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers, int shard
       tr->Adopt(wt->Finish());
     }
   }
-  for (Part& part : parts) MergeChunk(out, std::move(part));
+  for (SegmentPart& part : parts) MergeChunk(out, std::move(part));
   return Status::OK();
 }
 
@@ -409,36 +370,35 @@ Result<SegmentRetrieval> Retriever::RunSegmentQuery(const Formula& query, int64_
                                                     ExecContext* ctx,
                                                     const LevelTag& level_tag,
                                                     const ResolveLevel& resolve_level) {
+  // Checked once here, before the cache key and the loop exist: RankAndTrim
+  // cannot size a negative k, and k = 0 would evaluate every video to
+  // return nothing.
+  if (k < 1) {
+    return Status::InvalidArgument(StrCat("k ", k, " is not a hit count (k starts at 1)"));
+  }
   if (caches_ == nullptr) return RunSegmentQueryCold(query, k, ctx, resolve_level);
   // One epoch sample governs the whole query: lookups validate against it
   // and the fill is stamped with it, so a mutation slipping in mid-query
   // (a contract violation) can only leave entries a later lookup evicts.
   const uint64_t epoch = store_->epoch();
-  const std::string key = StrCat("seg|", level_tag(), "|k", k, "|", options_fp_, "|",
-                                 CanonicalFormulaKey(query));
+  const std::string key = StrCat(level_tag(), "|k", k, "|", CanonicalFormulaKey(query));
   obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
   HTL_ASSIGN_OR_RETURN(
       QueryCaches::ResultPtr cached,
       caches_->GetOrRun(key, epoch, ctx, tr, [&]() -> Result<CachedQueryResult> {
         HTL_ASSIGN_OR_RETURN(SegmentRetrieval r,
                              RunSegmentQueryCold(query, k, ctx, resolve_level));
-        CachedQueryResult c;
-        c.segment_hits = std::move(r.hits);
-        c.report = std::move(r.report);
-        return c;
+        return CachedQueryResult{std::move(r)};
       }));
-  SegmentRetrieval out;
-  out.hits = cached->segment_hits;
-  out.report = cached->report;
-  return out;
+  return SegmentRetrieval(*cached);
 }
 
 template <typename ResolveLevel>
 Result<SegmentRetrieval> Retriever::RunSegmentQueryCold(
     const Formula& query, int64_t k, ExecContext* ctx,
     const ResolveLevel& resolve_level) {
-  const bool prune = options_.prune && k > 0;
-  PruneFloor floor;  // Shared by every chunk/shard of this query.
+  const bool prune = options_.prune;
+  PruneFloor floor;  // Shared by every chunk of this query.
   SegmentPart out;
   const auto eval_one = [&](MetadataStore::VideoId v, ExecContext* ectx,
                             obs::QueryTrace* etr, SegmentPart& part) -> Status {
@@ -490,8 +450,7 @@ Result<SegmentRetrieval> Retriever::RunSegmentQueryCold(
     return Status::OK();
   };
   HTL_RETURN_IF_ERROR(ForEachVideo(store_->num_videos(), ctx, EffectiveWorkers(),
-                                   options_.num_shards, options_.thread_pool,
-                                   eval_one, out));
+                                   options_.thread_pool, eval_one, out));
   RankAndTrim(out.hits, k);
   SegmentRetrieval result;
   result.hits = std::move(out.hits);
@@ -598,148 +557,6 @@ Result<std::vector<SegmentHit>> Retriever::TopSegmentsAtNamedLevel(
     ExecContext* ctx) {
   HTL_ASSIGN_OR_RETURN(FormulaPtr f, Prepare(query_text));
   return TopSegmentsAtNamedLevel(*f, level_name, k, ctx);
-}
-
-Result<VideoRetrieval> Retriever::TopVideosWithReport(const Formula& query, int64_t k,
-                                                      ExecContext* ctx) {
-  if (caches_ == nullptr) return RunVideoQueryCold(query, k, ctx);
-  const uint64_t epoch = store_->epoch();
-  const std::string key =
-      StrCat("vid|k", k, "|", options_fp_, "|", CanonicalFormulaKey(query));
-  obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
-  HTL_ASSIGN_OR_RETURN(
-      QueryCaches::ResultPtr cached,
-      caches_->GetOrRun(key, epoch, ctx, tr, [&]() -> Result<CachedQueryResult> {
-        HTL_ASSIGN_OR_RETURN(VideoRetrieval r, RunVideoQueryCold(query, k, ctx));
-        CachedQueryResult c;
-        c.video_hits = std::move(r.hits);
-        c.report = std::move(r.report);
-        return c;
-      }));
-  VideoRetrieval out;
-  out.hits = cached->video_hits;
-  out.report = cached->report;
-  return out;
-}
-
-Result<VideoRetrieval> Retriever::RunVideoQueryCold(const Formula& query, int64_t k,
-                                                    ExecContext* ctx) {
-  const bool prune = options_.prune && k > 0;
-  PruneFloor floor;  // Shared by every chunk/shard of this query.
-  VideoPart out;
-  const auto eval_one = [&](MetadataStore::VideoId v, ExecContext* ectx,
-                            obs::QueryTrace* etr, VideoPart& part) -> Status {
-    if (prune && floor.Get() > 0.0) {
-      // Whole-video queries score the root, so the bound is taken at the
-      // top level; a bound failure degrades to full evaluation.
-      Result<double> ub = BoundForVideo(query, v, store_->Video(v), 1, store_->epoch());
-      if (ub.ok() && ub.value() < floor.Get() - kBoundSlack) {
-        ++part.report.videos_pruned;
-        part.report.pruned_videos.push_back(v);
-        HTL_OBS_COUNT("engine.prune.videos_pruned", 1);
-        return Status::OK();
-      }
-    }
-    if (ectx != nullptr) ectx->BeginUnit();
-    HTL_OBS_SPAN(vspan, etr, "video");
-    vspan.SetUnit(v);
-    const VideoTree& video = store_->Video(v);
-    Sim sim;
-    bool degraded = false;
-    Status video_error = Status::OK();
-    {
-      VideoEngine& slot = EngineFor(v);
-      MutexLock lock(&slot.mu);
-      DirectEngine& engine = EngineLocked(slot, v, store_->epoch());
-      engine.set_exec_context(ectx);
-      Result<Sim> direct = engine.EvaluateVideo(query);
-      engine.set_exec_context(nullptr);
-      if (direct.ok()) {
-        sim = direct.value();
-      } else if (direct.status().code() == StatusCode::kUnimplemented) {
-        degraded = true;
-      } else {
-        video_error = direct.status();
-      }
-    }
-    if (degraded) {
-      ReferenceEngine reference(&video, options_);
-      reference.set_exec_context(ectx);
-      Result<Sim> ref = reference.EvaluateVideo(query);
-      if (ref.ok()) {
-        sim = ref.value();
-      } else {
-        video_error = ref.status();
-      }
-    }
-    if (vspan.active() && ectx != nullptr) {
-      vspan.AddRows(ectx->rows_used());
-      vspan.AddTables(ectx->tables_used());
-    }
-    if (!video_error.ok()) {
-      if (video_error.IsQueryAbort()) return video_error;
-      vspan.SetNote(StrCat("failed: ", video_error.ToString()));
-      ++part.report.videos_failed;
-      part.report.failures.push_back(RetrievalReport::VideoFailure{v, video_error});
-      return Status::OK();
-    }
-    if (degraded) vspan.SetNote("degraded");
-    ++part.report.videos_evaluated;
-    if (degraded) ++part.report.videos_degraded;
-    if (sim.actual > 0) {
-      part.hits.push_back(VideoHit{v, sim});
-      if (prune) {
-        PushBest(part.best, k, sim.fraction());
-        if (static_cast<int64_t>(part.best.size()) >= k) {
-          floor.Publish(part.best.front());
-        }
-      }
-    }
-    return Status::OK();
-  };
-  HTL_RETURN_IF_ERROR(ForEachVideo(store_->num_videos(), ctx, EffectiveWorkers(),
-                                   options_.num_shards, options_.thread_pool,
-                                   eval_one, out));
-  std::stable_sort(out.hits.begin(), out.hits.end(),
-                   [](const VideoHit& a, const VideoHit& b) {
-                     if (a.sim.fraction() != b.sim.fraction()) {
-                       return a.sim.fraction() > b.sim.fraction();
-                     }
-                     return a.video < b.video;
-                   });
-  if (static_cast<int64_t>(out.hits.size()) > k) {
-    out.hits.resize(static_cast<size_t>(k));
-  }
-  VideoRetrieval result;
-  result.hits = std::move(out.hits);
-  result.report = std::move(out.report);
-  return result;
-}
-
-Result<VideoRetrieval> Retriever::TopVideosProfiled(const Formula& query, int64_t k,
-                                                    ExecContext* ctx) {
-  return RunProfiled(ctx, [&](ExecContext* use, obs::QueryTrace* trace)
-                              -> Result<VideoRetrieval> {
-    {
-      HTL_OBS_SPAN(span, trace, "stage.classify");
-      span.SetNote(std::string(FormulaClassName(Classify(query))));
-    }
-    HTL_OBS_SPAN(span, trace, "stage.execute");
-    return TopVideosWithReport(query, k, use);
-  });
-}
-
-Result<std::vector<VideoHit>> Retriever::TopVideos(const Formula& query, int64_t k,
-                                                   ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(VideoRetrieval r, TopVideosWithReport(query, k, ctx));
-  HTL_RETURN_IF_ERROR(FirstFailure(r.report));
-  return std::move(r.hits);
-}
-
-Result<std::vector<VideoHit>> Retriever::TopVideos(std::string_view query_text,
-                                                   int64_t k, ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(FormulaPtr f, Prepare(query_text));
-  return TopVideos(*f, k, ctx);
 }
 
 }  // namespace htl

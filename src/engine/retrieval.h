@@ -30,12 +30,6 @@ struct SegmentHit {
   Sim sim;
 };
 
-/// One retrieved video (query evaluated at the root).
-struct VideoHit {
-  MetadataStore::VideoId video = 0;
-  Sim sim;
-};
-
 /// What happened to each video during a store-wide retrieval — the truthful
 /// companion of a partial result. A video that faults, times out its
 /// per-video budget, or blows a resource budget is *skipped* (recorded
@@ -47,16 +41,6 @@ struct RetrievalReport {
     Status status;
   };
 
-  /// One shard whose scatter dispatch failed (QueryOptions::num_shards > 1):
-  /// its contiguous video range was not evaluated at all. The gathered
-  /// result truthfully covers only the healthy shards; complete() is false.
-  struct ShardFailure {
-    int shard = 0;                          // 0-based shard index.
-    MetadataStore::VideoId first_video = 0;  // Inclusive range the shard owned.
-    MetadataStore::VideoId last_video = 0;
-    Status status;
-  };
-
   int64_t videos_evaluated = 0;  // Contributed results (incl. degraded).
   int64_t videos_failed = 0;     // Skipped with an error (see failures).
   int64_t videos_degraded = 0;   // Fell back from DirectEngine to ReferenceEngine.
@@ -64,15 +48,11 @@ struct RetrievalReport {
   std::vector<VideoFailure> failures;  // First error per failed video, in id order.
 
   /// Every video skipped by bound-based pruning (QueryOptions::prune), in
-  /// id order per shard/chunk. Pruning is proven not to perturb the ranked
+  /// id order per chunk. Pruning is proven not to perturb the ranked
   /// output, so pruned ∩ top-k is always empty — the differential battery
   /// asserts it from this list. Sized by the corpus, not the result; only
   /// populated when pruning is on.
   std::vector<MetadataStore::VideoId> pruned_videos;
-
-  /// Shards lost to dispatch failures, in shard order (empty when unsharded
-  /// or healthy).
-  std::vector<ShardFailure> shard_failures;
 
   /// Stage/operator/per-video profile with the fault points that fired —
   /// filled by the Retriever's *Profiled entry points, empty otherwise.
@@ -80,7 +60,7 @@ struct RetrievalReport {
 
   /// True when every video contributed or was provably irrelevant (pruned):
   /// the result is exact, not partial.
-  bool complete() const { return videos_failed == 0 && shard_failures.empty(); }
+  bool complete() const { return videos_failed == 0; }
 
   /// Human-readable one-line summary for logs (names tripped fault points).
   std::string ToString() const;
@@ -90,12 +70,6 @@ struct RetrievalReport {
 /// plus the report saying exactly which videos are missing and why.
 struct SegmentRetrieval {
   std::vector<SegmentHit> hits;
-  RetrievalReport report;
-};
-
-/// As SegmentRetrieval for whole-video (browsing) retrieval.
-struct VideoRetrieval {
-  std::vector<VideoHit> hits;
   RetrievalReport report;
 };
 
@@ -122,13 +96,17 @@ struct VideoRetrieval {
 /// serial run (`parallelism = 1`) — see DESIGN.md "Parallel execution" for
 /// the determinism contract and the cancellation fan-out.
 ///
-/// Scale-out (QueryOptions::prune / num_shards): pruning derives a cheap
-/// per-video upper bound on the attainable similarity and skips videos that
-/// provably cannot enter the current top k; sharding splits the corpus into
-/// contiguous ranges scatter-gathered under child ExecContexts, sharing the
-/// pruning floor through a monotonic atomic. Both are proven bit-identical
-/// to the plain path by tests/property/prune_differential_test.cc — see
-/// DESIGN.md "Scale-out retrieval".
+/// Whole-video (browsing) queries are level-1 queries: a video satisfies a
+/// formula when the formula holds at its root (section 2.3), and level 1
+/// holds exactly the root, so TopSegments*(query, 1, k) ranks whole videos
+/// (every hit's segment is the root).
+///
+/// Pruning (QueryOptions::prune) derives a cheap per-video upper bound on
+/// the attainable similarity and skips videos that provably cannot enter
+/// the current top k; parallel chunks share the top-k floor through a
+/// monotonic atomic. It is proven bit-identical to the plain path by
+/// tests/property/prune_differential_test.cc — see DESIGN.md "Scale-out
+/// retrieval".
 ///
 /// The retriever keeps one DirectEngine per video, so atomic picture
 /// queries and value tables are cached *across* queries. Each per-video
@@ -141,8 +119,9 @@ struct VideoRetrieval {
 /// lock-free).
 ///
 /// Caching (QueryOptions::cache_mode, default off): with caching enabled
-/// the retriever owns a whole-query result cache (keyed by the canonical
-/// query fingerprint, the options fingerprint, k, and the level spec) and
+/// the retriever owns a whole-query result cache (keyed by the level spec,
+/// k, and the canonical query fingerprint; the options need no key part, as
+/// each cache belongs to one retriever, whose options never change) and
 /// a similarity-list cache lent to the per-video engines for closed
 /// sub-formulas. Hits are bit-identical to cold recomputation at the same
 /// store epoch; entries from older epochs are lazily evicted; concurrent
@@ -159,8 +138,7 @@ class Retriever {
 
   /// Top-k segments at `level` over all videos, ranked by fractional
   /// similarity (ties: lower video id, then lower segment id). Strict: any
-  /// incomplete run fails the call, with the first per-video error or, when
-  /// only shards were lost, the first lost shard's error.
+  /// failed video fails the call with the first per-video error.
   Result<std::vector<SegmentHit>> TopSegments(const Formula& query, int level,
                                               int64_t k, ExecContext* ctx = nullptr);
   Result<std::vector<SegmentHit>> TopSegments(std::string_view query_text, int level,
@@ -168,8 +146,9 @@ class Retriever {
 
   /// Degradation-tolerant TopSegments: faulting videos are skipped and
   /// recorded; the ranked partial result covers every healthy video. Only
-  /// deadline expiry / cancellation, a `level` below 1 (InvalidArgument),
-  /// and Prepare errors for the text overload fail the call itself.
+  /// deadline expiry / cancellation, a `level` or `k` below 1
+  /// (InvalidArgument), and Prepare errors for the text overload fail the
+  /// call itself.
   Result<SegmentRetrieval> TopSegmentsWithReport(const Formula& query, int level,
                                                  int64_t k, ExecContext* ctx = nullptr);
   Result<SegmentRetrieval> TopSegmentsWithReport(std::string_view query_text, int level,
@@ -205,22 +184,6 @@ class Retriever {
   Result<SegmentRetrieval> TopSegmentsAtNamedLevelWithReport(
       const Formula& query, const std::string& level_name, int64_t k,
       ExecContext* ctx = nullptr);
-
-  /// Top-k videos with the query asserted at the root (browsing queries and
-  /// whole-video matches). Strict, like TopSegments.
-  Result<std::vector<VideoHit>> TopVideos(const Formula& query, int64_t k,
-                                          ExecContext* ctx = nullptr);
-  Result<std::vector<VideoHit>> TopVideos(std::string_view query_text, int64_t k,
-                                          ExecContext* ctx = nullptr);
-
-  /// Degradation-tolerant TopVideos.
-  Result<VideoRetrieval> TopVideosWithReport(const Formula& query, int64_t k,
-                                             ExecContext* ctx = nullptr);
-
-  /// EXPLAIN/profile surface for whole-video retrieval; see
-  /// TopSegmentsProfiled.
-  Result<VideoRetrieval> TopVideosProfiled(const Formula& query, int64_t k,
-                                           ExecContext* ctx = nullptr);
 
   /// The similarity list of `query` for one video's `level` — the
   /// single-video operation the paper's experiments report (Tables 3-6).
@@ -284,12 +247,13 @@ class Retriever {
   /// meaning ThreadPool::DefaultParallelism(), capped at the video count.
   int EffectiveWorkers() const;
 
-  /// The shared per-video evaluation loop behind the segment entry points.
-  /// `resolve_level` maps a video to the level to query (negative: skip the
-  /// video silently, the named-level contract). `level_tag` is a callable
-  /// producing the level-spec part of the result cache key ("lvl<i>" /
-  /// "name:<s>"); it is a thunk, not a string, so the cache_mode=off path
-  /// never pays the key formatting.
+  /// The per-video evaluation loop behind every query entry point, and its
+  /// only result-cache path. Rejects `k` below 1 (InvalidArgument) before
+  /// anything else. `resolve_level` maps a video to the level to query
+  /// (negative: skip the video silently, the named-level contract).
+  /// `level_tag` is a callable producing the level-spec part of the result
+  /// cache key ("lvl<i>" / "name:<s>"); it is a thunk, not a string, so the
+  /// cache_mode=off path never pays the key formatting.
   template <typename LevelTag, typename ResolveLevel>
   Result<SegmentRetrieval> RunSegmentQuery(const Formula& query, int64_t k,
                                            ExecContext* ctx,
@@ -303,10 +267,6 @@ class Retriever {
                                                ExecContext* ctx,
                                                const ResolveLevel& resolve_level);
 
-  /// The uncached body of TopVideosWithReport.
-  Result<VideoRetrieval> RunVideoQueryCold(const Formula& query, int64_t k,
-                                           ExecContext* ctx);
-
   const MetadataStore* store_;
   QueryOptions options_;
   Mutex engines_mu_;  // Guards engines_ (map shape only; slots guard themselves).
@@ -316,7 +276,6 @@ class Retriever {
   std::map<MetadataStore::VideoId, std::unique_ptr<VideoStatsSlot>> stats_
       HTL_GUARDED_BY(stats_mu_);
   std::unique_ptr<QueryCaches> caches_;  // Null when cache_mode == kOff.
-  std::string options_fp_;               // Cached OptionsFingerprint(options_).
 };
 
 }  // namespace htl

@@ -19,7 +19,8 @@ enum class QueryKind : uint8_t {
   /// HTL text -> Retriever::TopSegments* (direct/reference engines) at
   /// `level`, top-k segments over the whole store.
   kHtlSegments = 0,
-  /// HTL text -> Retriever::TopVideos* (query asserted at the root).
+  /// HTL text -> Retriever::TopSegments* at level 1, which holds exactly
+  /// the root: whole videos, ranked with the query asserted at the root.
   kHtlVideos = 1,
   /// HTL text -> the SQL-based second system (section 4): translated to SQL
   /// and executed on the relational engine over the server's configured
@@ -85,8 +86,8 @@ struct QueryRequest {
 inline constexpr uint8_t kFlagDegraded = 0x1;  // Soft-watermark shed mode.
 inline constexpr uint8_t kFlagPartial = 0x2;   // Some videos were skipped.
 
-/// One ranked hit. For kHtlVideos, `segment` is the root segment id of the
-/// video; for kSql, `video` is 0 (the configured input relation set).
+/// One ranked hit. For kHtlVideos, `segment` is 0 (the hit is the whole
+/// video); for kSql, `video` is 0 (the configured input relation set).
 struct WireHit {
   int64_t video = 0;
   int64_t segment = 0;

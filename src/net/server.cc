@@ -483,32 +483,21 @@ QueryResponse QueryServer::HandleHtl(const QueryRequest& request,
   // full traces for the slow ones (the client only *sees* the profile text
   // when it asked for it).
   const bool traced = want_profile || options_.trace_requests;
+  // A whole-video query is a level-1 query (level 1 holds exactly the
+  // root); its hits keep the kHtlVideos wire form, segment 0.
+  const bool videos = request.kind == QueryKind::kHtlVideos;
+  const int level = videos ? 1 : request.level;
+  auto result = traced
+                    ? retriever->TopSegmentsProfiled(**formula, level, k, ctx)
+                    : retriever->TopSegmentsWithReport(**formula, level, k, ctx);
+  if (!result.ok()) return ErrorResponse(result.status());
   QueryResponse response;
-
-  if (request.kind == QueryKind::kHtlSegments) {
-    auto result = traced
-                      ? retriever->TopSegmentsProfiled(**formula,
-                                                       request.level, k, ctx)
-                      : retriever->TopSegmentsWithReport(**formula,
-                                                         request.level, k, ctx);
-    if (!result.ok()) return ErrorResponse(result.status());
-    for (const SegmentHit& hit : result->hits) {
-      response.hits.push_back(
-          WireHit{hit.video, hit.segment, hit.sim.actual, hit.sim.max});
-    }
-    FillReport(result->report, want_profile, &response);
-    if (profile != nullptr) *profile = std::move(result->report.profile);
-  } else {
-    auto result = traced ? retriever->TopVideosProfiled(**formula, k, ctx)
-                         : retriever->TopVideosWithReport(**formula, k, ctx);
-    if (!result.ok()) return ErrorResponse(result.status());
-    for (const VideoHit& hit : result->hits) {
-      response.hits.push_back(
-          WireHit{hit.video, 0, hit.sim.actual, hit.sim.max});
-    }
-    FillReport(result->report, want_profile, &response);
-    if (profile != nullptr) *profile = std::move(result->report.profile);
+  for (const SegmentHit& hit : result->hits) {
+    response.hits.push_back(WireHit{hit.video, videos ? 0 : hit.segment,
+                                    hit.sim.actual, hit.sim.max});
   }
+  FillReport(result->report, want_profile, &response);
+  if (profile != nullptr) *profile = std::move(result->report.profile);
   return response;
 }
 

@@ -23,8 +23,6 @@ const std::vector<std::string_view>& FaultRegistry::KnownPoints() {
           "cache.lookup",        // Cache probe (degrades to a bypass/miss).
           "engine.bound_compute",   // Retriever prune-bound derivation
                                     // (degrades to unpruned evaluation).
-          "engine.shard_dispatch",  // Retriever shard scatter (degrades to
-                                    // a truthful partial report).
           "engine.table_join",   // DirectEngine and/or/until join.
           "engine.value_table",  // DirectEngine freeze value-table build.
           "net.accept",          // QueryServer accept loop, post-accept.

@@ -57,18 +57,6 @@ void ExpectSameSegmentResults(const SegmentRetrieval& want,
   EXPECT_EQ(want.report.videos_degraded, got.report.videos_degraded);
 }
 
-void ExpectSameVideoResults(const VideoRetrieval& want, const VideoRetrieval& got,
-                            const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(want.hits.size(), got.hits.size());
-  for (size_t i = 0; i < want.hits.size(); ++i) {
-    EXPECT_EQ(want.hits[i].video, got.hits[i].video) << "hit " << i;
-    EXPECT_EQ(want.hits[i].sim, got.hits[i].sim) << "hit " << i;
-  }
-  EXPECT_EQ(want.report.videos_evaluated, got.report.videos_evaluated);
-  EXPECT_EQ(want.report.videos_failed, got.report.videos_failed);
-}
-
 class CacheDifferentialTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -144,16 +132,17 @@ TEST_F(CacheDifferentialTest, WarmHitsMatchColdAcrossAllClasses) {
   EXPECT_EQ(stats.hits + stats.misses, 24) << stats.ToString();  // 4 x 2 x 3.
 }
 
-TEST_F(CacheDifferentialTest, TopVideosWarmHitsMatchCold) {
+// Whole-video retrieval is the level-1 query: level 1 holds exactly the root.
+TEST_F(CacheDifferentialTest, LevelOneWarmHitsMatchCold) {
   Retriever cached = MakeCached();
   for (const ClassedQuery& q : kQueries) {
     ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(q.text));
     Retriever cold = MakeCold();
-    ASSERT_OK_AND_ASSIGN(VideoRetrieval want, cold.TopVideosWithReport(*f, 5));
+    ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, cold.TopSegmentsWithReport(*f, 1, 5));
     for (int run = 0; run < 2; ++run) {
-      ASSERT_OK_AND_ASSIGN(VideoRetrieval got, cached.TopVideosWithReport(*f, 5));
-      ExpectSameVideoResults(want, got,
-                             std::string(q.text) + " run " + std::to_string(run));
+      ASSERT_OK_AND_ASSIGN(SegmentRetrieval got, cached.TopSegmentsWithReport(*f, 1, 5));
+      ExpectSameSegmentResults(want, got,
+                               std::string(q.text) + " run " + std::to_string(run));
     }
   }
   EXPECT_GT(cached.caches()->result_stats().hits, 0);

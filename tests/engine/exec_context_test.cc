@@ -314,7 +314,7 @@ TEST(ExecContextRetrievalTest, ZeroDeadlineAbortsWithReportVariantToo) {
   EXPECT_TRUE(r.TopSegmentsWithReport(*q, 2, 4, &ctx).status().IsDeadlineExceeded());
   ExecContext ctx2;
   ctx2.SetTimeout(milliseconds(0));
-  EXPECT_TRUE(r.TopVideosWithReport(*q, 4, &ctx2).status().IsDeadlineExceeded());
+  EXPECT_TRUE(r.TopSegmentsWithReport(*q, 1, 4, &ctx2).status().IsDeadlineExceeded());
 }
 
 TEST(ExecContextRetrievalTest, CancelledQueryReturnsCancelled) {

@@ -77,26 +77,6 @@ void ExpectSameSegmentResults(const SegmentRetrieval& serial,
   }
 }
 
-void ExpectSameVideoResults(const VideoRetrieval& serial,
-                            const VideoRetrieval& parallel,
-                            const std::string& context) {
-  SCOPED_TRACE(context);
-  ASSERT_EQ(serial.hits.size(), parallel.hits.size());
-  for (size_t i = 0; i < serial.hits.size(); ++i) {
-    EXPECT_EQ(serial.hits[i].video, parallel.hits[i].video) << "hit " << i;
-    EXPECT_EQ(serial.hits[i].sim, parallel.hits[i].sim) << "hit " << i;
-  }
-  EXPECT_EQ(serial.report.videos_evaluated, parallel.report.videos_evaluated);
-  EXPECT_EQ(serial.report.videos_failed, parallel.report.videos_failed);
-  EXPECT_EQ(serial.report.videos_degraded, parallel.report.videos_degraded);
-  ASSERT_EQ(serial.report.failures.size(), parallel.report.failures.size());
-  for (size_t i = 0; i < serial.report.failures.size(); ++i) {
-    EXPECT_EQ(serial.report.failures[i].video, parallel.report.failures[i].video);
-    EXPECT_EQ(serial.report.failures[i].status.code(),
-              parallel.report.failures[i].status.code());
-  }
-}
-
 class ParallelRetrievalTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -149,17 +129,19 @@ TEST_F(ParallelRetrievalTest, AllFormulaClassesMatchSerialBitForBit) {
   }
 }
 
-TEST_F(ParallelRetrievalTest, TopVideosMatchesSerial) {
+// Whole-video retrieval is the level-1 query: level 1 holds exactly the root.
+TEST_F(ParallelRetrievalTest, LevelOneMatchesSerial) {
   for (const ClassedQuery& q : kQueries) {
     Retriever serial = MakeRetriever(1);
     ASSERT_OK_AND_ASSIGN(FormulaPtr f, serial.Prepare(q.text));
-    ASSERT_OK_AND_ASSIGN(VideoRetrieval want, serial.TopVideosWithReport(*f, 5));
+    ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, serial.TopSegmentsWithReport(*f, 1, 5));
     for (int workers : {2, 4, 8}) {
       Retriever parallel = MakeRetriever(workers);
-      ASSERT_OK_AND_ASSIGN(VideoRetrieval got, parallel.TopVideosWithReport(*f, 5));
-      ExpectSameVideoResults(want, got,
-                             std::string(q.text) + " workers " +
-                                 std::to_string(workers));
+      ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
+                           parallel.TopSegmentsWithReport(*f, 1, 5));
+      ExpectSameSegmentResults(want, got,
+                               std::string(q.text) + " workers " +
+                                   std::to_string(workers));
     }
   }
 }

@@ -168,10 +168,11 @@ TEST_F(ProfileTest, CallerContextBudgetsApplyAndTraceIsRestored) {
   }
 }
 
-TEST_F(ProfileTest, TopVideosProfiledAttachesProfile) {
+// Whole-video retrieval is the level-1 query: level 1 holds exactly the root.
+TEST_F(ProfileTest, LevelOneProfiledAttachesProfile) {
   Retriever r(&store_);
   FormulaPtr q = casablanca::Query1Full();
-  auto result = r.TopVideosProfiled(*q, 4);
+  auto result = r.TopSegmentsProfiled(*q, 1, 4);
   ASSERT_OK(result.status());
   const obs::QueryProfile& profile = result.value().report.profile;
   ASSERT_NE(profile.Find("stage.execute"), nullptr);

@@ -47,26 +47,31 @@ TEST(RetrieverTest, PrepareParsesAndBinds) {
   EXPECT_FALSE(r.Prepare("present(x").ok());      // Syntax.
 }
 
-TEST(RetrieverTest, TopVideosBrowsingQuery) {
+// A browsing query is a level-1 query: level 1 holds exactly the root, so
+// each hit is a whole video (its root segment).
+TEST(RetrieverTest, BrowsingQueryAtLevelOne) {
   MetadataStore store = MakeStore();
   Retriever r(&store);
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopVideos("type = 'western'", 10));
+  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegments("type = 'western'", 1, 10));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].video, 1);
+  EXPECT_EQ(hits[0].segment, 1);
   EXPECT_EQ(hits[0].sim.fraction(), 1.0);
 }
 
-TEST(RetrieverTest, TopVideosRanksByFraction) {
+TEST(RetrieverTest, LevelOneRanksVideosByFraction) {
   MetadataStore store = MakeStore();
   Retriever r(&store);
   // Two constraints: the western matches both at the root? Only type
   // matches; both videos have titles. Use a query with partial matches.
-  ASSERT_OK_AND_ASSIGN(auto hits,
-                       r.TopVideos("type = 'western' and title = 'Desert War'", 10));
+  ASSERT_OK_AND_ASSIGN(
+      auto hits, r.TopSegments("type = 'western' and title = 'Desert War'", 1, 10));
   ASSERT_EQ(hits.size(), 2u);
   // Both score 1/2; ties break by video id.
   EXPECT_EQ(hits[0].video, 1);
   EXPECT_EQ(hits[1].video, 2);
+  EXPECT_EQ(hits[0].segment, 1);
+  EXPECT_EQ(hits[1].segment, 1);
 }
 
 TEST(RetrieverTest, TopSegmentsAcrossVideos) {
@@ -117,6 +122,26 @@ TEST(RetrieverTest, LevelBelowOneIsInvalidArgument) {
     EXPECT_EQ(r.TopSegmentsWithReport("true", level, 10).status().code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(r.TopSegments("true", level, 10).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(RetrieverTest, KBelowOneIsInvalidArgument) {
+  // One call-level error before any video is evaluated, not an exception
+  // from the final trim (negative k) or a full evaluation of every video
+  // that returns nothing (k = 0).
+  MetadataStore store = MakeStore();
+  Retriever r(&store);
+  for (int64_t k : {0, -1}) {
+    SCOPED_TRACE(k);
+    EXPECT_EQ(r.TopSegmentsWithReport("true", 2, k).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.TopSegments("true", 2, k).status().code(),
+              StatusCode::kInvalidArgument);
+    ASSERT_OK_AND_ASSIGN(FormulaPtr f, r.Prepare("true"));
+    EXPECT_EQ(r.TopSegmentsAtNamedLevelWithReport(*f, "shot", k).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.TopSegmentsAtNamedLevel("true", "shot", k).status().code(),
               StatusCode::kInvalidArgument);
   }
 }

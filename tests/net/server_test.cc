@@ -175,13 +175,17 @@ TEST_F(ServerTest, HtlVideosMatchesLocalRetriever) {
   ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().Query(request));
   ASSERT_TRUE(response.ok()) << response.message;
 
+  // A whole-video query is the level-1 query; on the wire its hits carry
+  // segment 0.
   Retriever local(&store_);
   ASSERT_OK_AND_ASSIGN(FormulaPtr f, local.Prepare(request.query_text));
-  ASSERT_OK_AND_ASSIGN(VideoRetrieval want, local.TopVideosWithReport(*f, 4));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, local.TopSegmentsWithReport(*f, 1, 4));
   ASSERT_EQ(response.hits.size(), want.hits.size());
   for (size_t i = 0; i < want.hits.size(); ++i) {
     EXPECT_EQ(response.hits[i].video, want.hits[i].video) << "hit " << i;
+    EXPECT_EQ(response.hits[i].segment, 0) << "hit " << i;
     EXPECT_EQ(response.hits[i].actual, want.hits[i].sim.actual) << "hit " << i;
+    EXPECT_EQ(response.hits[i].max, want.hits[i].sim.max) << "hit " << i;
   }
 }
 

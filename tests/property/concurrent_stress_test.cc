@@ -86,7 +86,8 @@ TEST(ConcurrentStressTest, MixedQueriesAgainstOneRetrieverWithMetricsChurn) {
           if (!IsSanctioned(r.status())) failures.fetch_add(1);
           if (r.ok()) ExpectConsistent(r.value().report, store.num_videos());
         } else if (pick == 1) {
-          auto r = retriever.TopVideosWithReport(*query, 5);
+          // Whole-video retrieval: the level-1 query.
+          auto r = retriever.TopSegmentsWithReport(*query, 1, 5);
           if (!IsSanctioned(r.status())) failures.fetch_add(1);
           if (r.ok()) ExpectConsistent(r.value().report, store.num_videos());
         } else if (pick == 2) {
@@ -124,15 +125,15 @@ TEST(ConcurrentStressTest, MixedQueriesAgainstOneRetrieverWithMetricsChurn) {
   EXPECT_TRUE(after.report.complete()) << after.report.ToString();
 }
 
-TEST(ConcurrentStressTest, ShardedPrunedRetrievalUnderFaultAndEpochChurn) {
-  // The scale-out path under fire: a sharded, pruning Retriever shared by
+TEST(ConcurrentStressTest, ParallelPrunedRetrievalUnderFaultAndEpochChurn) {
+  // The scale-out path under fire: a parallel, pruning Retriever shared by
   // racing query threads while a churn thread (a) arms and disarms the
-  // engine.shard_dispatch and engine.bound_compute fault points mid-flight,
-  // (b) bumps the store epoch so the per-video VideoStats and engine caches
-  // rebuild under contention, and a sibling thread races Cancel() against
-  // some runs. TSan is the oracle for the shared prune floor (the CAS-max
-  // atomic), the stats cache's two-lock discipline, and the fault registry;
-  // in debug builds the HTL_DCHECK inside PruneFloor::Publish additionally
+  // engine.bound_compute fault point mid-flight, (b) bumps the store epoch
+  // so the per-video VideoStats and engine caches rebuild under
+  // contention, and a sibling thread races Cancel() against some runs.
+  // TSan is the oracle for the shared prune floor (the CAS-max atomic),
+  // the stats cache's two-lock discipline, and the fault registry; in
+  // debug builds the HTL_DCHECK inside PruneFloor::Publish additionally
   // asserts the floor never moves backwards.
   FaultRegistry::Instance().DisableAll();
   MetadataStore store;
@@ -150,7 +151,6 @@ TEST(ConcurrentStressTest, ShardedPrunedRetrievalUnderFaultAndEpochChurn) {
   ThreadPool pool(ThreadPool::Options{4, 0});
   QueryOptions options;
   options.parallelism = 4;
-  options.num_shards = 4;
   options.prune = true;
   options.thread_pool = &pool;
   Retriever retriever(&store, options);  // ONE retriever, shared by all threads.
@@ -171,7 +171,6 @@ TEST(ConcurrentStressTest, ShardedPrunedRetrievalUnderFaultAndEpochChurn) {
     while (!stop_churn.load(std::memory_order_relaxed)) {
       FaultSpec spec;
       spec.probability = 0.3;
-      FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
       FaultRegistry::Instance().Enable("engine.bound_compute", spec);
       std::this_thread::yield();
       store.BumpEpoch();  // Invalidate every cached engine and VideoStats.
@@ -203,7 +202,7 @@ TEST(ConcurrentStressTest, ShardedPrunedRetrievalUnderFaultAndEpochChurn) {
                       store.num_videos());
           }
         } else if (pick == 1) {
-          auto r = retriever.TopVideosWithReport(f, 3);
+          auto r = retriever.TopSegmentsWithReport(f, 1, 3);
           if (!IsSanctioned(r.status())) failures.fetch_add(1);
           if (r.ok()) ExpectConsistent(r.value().report, store.num_videos());
         } else {

@@ -105,13 +105,11 @@ TEST_F(FaultInjectionTest, WorkloadReachesEveryKnownFaultPoint) {
   Retriever cached(&store_, CachedOptions());
   ASSERT_OK(RunCached(cached).status());
   ASSERT_OK(RunCached(cached).status());
-  // A pruned, sharded run: shard 0 evaluates video 1 and publishes the
-  // top-1 floor, so shard 1 derives video 2's bound — together reaching
-  // engine.shard_dispatch (checked per shard) and engine.bound_compute.
+  // A serial pruned top-1 run: video 1 evaluates and publishes the top-1
+  // floor, so video 2's bound is derived — reaching engine.bound_compute.
   {
     QueryOptions options = SerialOptions();
     options.prune = true;
-    options.num_shards = 2;
     Retriever r(&store_, options);
     FormulaPtr q = casablanca::Query1Full();
     ASSERT_OK(r.TopSegmentsWithReport(*q, 2, 1).status());
@@ -310,66 +308,6 @@ TEST_F(FaultInjectionTest, PartialResultsAreNeverCached) {
   EXPECT_TRUE(healed.report.complete()) << healed.report.ToString();
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval cold, RunRetrieval(&store_));
   ExpectSameHits(healed, cold);
-}
-
-// A faulted shard dispatch degrades to a truthful partial report: the lost
-// shard's range is named in shard_failures, the healthy shard's videos still
-// contribute their exact hits, and complete() turns false — never a crash or
-// a silently missing range.
-TEST_F(FaultInjectionTest, ShardDispatchFaultYieldsTruthfulPartialReport) {
-  FaultSpec spec;
-  spec.fire_on_hit = 1;
-  spec.sticky = false;  // Only shard 0's dispatch fails.
-  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
-  QueryOptions options = SerialOptions();
-  options.num_shards = 2;
-  Retriever r(&store_, options);
-  FormulaPtr q = casablanca::Query1Full();
-  ASSERT_OK_AND_ASSIGN(SegmentRetrieval out, r.TopSegmentsWithReport(*q, 2, 8));
-  FaultRegistry::Instance().DisableAll();
-
-  EXPECT_FALSE(out.report.complete());
-  ASSERT_EQ(out.report.shard_failures.size(), 1u) << out.report.ToString();
-  EXPECT_EQ(out.report.shard_failures[0].shard, 0);
-  EXPECT_EQ(out.report.shard_failures[0].first_video, 1);
-  EXPECT_EQ(out.report.shard_failures[0].last_video, 1);
-  EXPECT_NE(out.report.shard_failures[0].status.message().find("engine.shard_dispatch"),
-            std::string::npos)
-      << "report must name the faulted seam: "
-      << out.report.shard_failures[0].status.ToString();
-  EXPECT_EQ(out.report.videos_evaluated, 1);  // Only shard 1's video ran.
-  EXPECT_EQ(out.report.videos_failed, 0);
-  // The partial result is the healthy shard's exact answer (paper Table 4).
-  ASSERT_GE(out.hits.size(), 1u);
-  for (const SegmentHit& h : out.hits) EXPECT_EQ(h.video, 2);
-  EXPECT_EQ(out.hits[0].segment, 1);
-  EXPECT_NEAR(out.hits[0].sim.actual, 12.382, 1e-9);
-}
-
-// The strict entry points must not hide a lost shard: with no video
-// failure to surface, each fails with the lost shard's status.
-TEST_F(FaultInjectionTest, ShardDispatchFaultFailsTheStrictApi) {
-  FaultSpec spec;
-  spec.fire_on_hit = 1;
-  spec.sticky = false;  // Only shard 0's dispatch fails.
-  QueryOptions options = SerialOptions();
-  options.num_shards = 2;
-  Retriever r(&store_, options);
-  FormulaPtr q = casablanca::Query1Full();
-  std::vector<Status> statuses;
-  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
-  statuses.push_back(r.TopSegments(*q, 2, 8).status());
-  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
-  statuses.push_back(r.TopSegmentsAtNamedLevel(*q, "shot", 8).status());
-  FaultRegistry::Instance().Enable("engine.shard_dispatch", spec);
-  statuses.push_back(r.TopVideos(*q, 8).status());
-  FaultRegistry::Instance().DisableAll();
-
-  for (const Status& s : statuses) {
-    EXPECT_FALSE(s.ok());
-    EXPECT_NE(s.message().find("engine.shard_dispatch"), std::string::npos)
-        << s.ToString();
-  }
 }
 
 // A faulted bound derivation must degrade to plain unpruned evaluation:

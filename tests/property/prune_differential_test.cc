@@ -1,9 +1,9 @@
-// The differential proof behind QueryOptions::prune and num_shards: on
-// random corpora and random formulas from all four supported classes,
-// bound-based top-k pruning and sharded scatter-gather retrieval reproduce
-// the plain path bit for bit — ranked hits, call statuses, failure lists —
-// serial and parallel, across shard counts, cached and
-// uncached, strict and degraded (pruning-invariant injected faults, blown
+// The differential proof behind QueryOptions::prune: on random corpora and
+// random formulas from all four supported classes, bound-based top-k
+// pruning reproduces the plain path bit for bit — ranked hits, call
+// statuses, failure lists — serial and parallel, across chunk counts,
+// cached and uncached, at the segment levels and at level 1 (whole
+// videos), strict and degraded (pruning-invariant injected faults, blown
 // per-video budgets). The reports must also stay truthful: every video is
 // accounted for exactly once (evaluated, failed, or pruned), pruned videos
 // never appear in the top k, and a pruned run never fails or degrades a
@@ -12,11 +12,10 @@
 //
 // Faults injected here must be pruning-invariant (their trigger count must
 // not depend on how many videos evaluate): engine.bound_compute is only hit
-// by the pruned arm and degrades it to plain evaluation; engine.shard_dispatch
-// is hit once per shard regardless of pruning (serial runs only — under a
-// pool the first-hit shard is racy). Count-dependent points like
-// engine.table_join would fire on different videos in the two arms and are
-// exercised by tests/property/fault_injection_test.cc instead.
+// by the pruned arm and degrades it to plain evaluation. Count-dependent
+// points like engine.table_join would fire on different videos in the two
+// arms and are exercised by tests/property/fault_injection_test.cc
+// instead.
 
 #include <gtest/gtest.h>
 
@@ -44,7 +43,6 @@ namespace {
 
 struct RunConfig {
   int parallelism = 1;
-  int num_shards = 1;
   CacheMode cache_mode = CacheMode::kOff;
   AndSemantics and_semantics = AndSemantics::kSum;
   int runs = 1;  // >1 exercises the result cache (cold fill, warm probe).
@@ -65,7 +63,6 @@ std::vector<Outcome> RunArm(const MetadataStore& store, const Formula& f, int le
                             const RunConfig& cfg, bool prune) {
   QueryOptions options;
   options.parallelism = cfg.parallelism;
-  options.num_shards = cfg.num_shards;
   options.cache_mode = cfg.cache_mode;
   options.and_semantics = cfg.and_semantics;
   options.prune = prune;
@@ -190,19 +187,6 @@ std::string DescribeHits(const std::vector<SegmentHit>& hits) {
     if (pruned.count(f.video) != 0) {
       return ::testing::AssertionFailure()
              << "video " << f.video << " reported both pruned and failed";
-    }
-  }
-
-  // Shard losses must match exactly: shard index, range, and status code.
-  if (off.report.shard_failures.size() != on.report.shard_failures.size()) {
-    return ::testing::AssertionFailure() << "shard failure counts diverged";
-  }
-  for (size_t i = 0; i < off.report.shard_failures.size(); ++i) {
-    const RetrievalReport::ShardFailure& a = off.report.shard_failures[i];
-    const RetrievalReport::ShardFailure& b = on.report.shard_failures[i];
-    if (a.shard != b.shard || a.first_video != b.first_video ||
-        a.last_video != b.last_video || a.status.code() != b.status.code()) {
-      return ::testing::AssertionFailure() << "shard failure " << i << " diverged";
     }
   }
   return ::testing::AssertionSuccess();
@@ -357,27 +341,26 @@ TEST(PruneDifferentialTest, SerialUnshardedAllClasses) {
   SweepAllShapes(/*seed_base=*/1, cfg, /*trials=*/5);
 }
 
-TEST(PruneDifferentialTest, ShardCountsPreserveOutput) {
-  for (int shards : {2, 8}) {
+TEST(PruneDifferentialTest, ChunkCountsPreserveOutput) {
+  for (int parallelism : {2, 8}) {
     RunConfig cfg;
-    cfg.num_shards = shards;
-    SCOPED_TRACE(shards);
-    SweepAllShapes(/*seed_base=*/40 + static_cast<uint64_t>(shards) * 1000, cfg,
+    cfg.parallelism = parallelism;
+    SCOPED_TRACE(parallelism);
+    SweepAllShapes(/*seed_base=*/40 + static_cast<uint64_t>(parallelism) * 1000, cfg,
                    /*trials=*/3);
   }
 }
 
-TEST(PruneDifferentialTest, ParallelShardedMatchesSerialUnpruned) {
+TEST(PruneDifferentialTest, ParallelMatchesUnpruned) {
   RunConfig cfg;
-  cfg.parallelism = 4;
-  cfg.num_shards = 8;
+  cfg.parallelism = 8;
   SweepAllShapes(/*seed_base=*/80, cfg, /*trials=*/3);
 }
 
-// A second two-shard sweep over an independent seed range.
-TEST(PruneDifferentialTest, InterpreterEngineAgreesToo) {
+// A second two-worker sweep over an independent seed range.
+TEST(PruneDifferentialTest, TwoWorkersSecondSeedRange) {
   RunConfig cfg;
-  cfg.num_shards = 2;
+  cfg.parallelism = 2;
   SweepAllShapes(/*seed_base=*/120, cfg, /*trials=*/3);
 }
 
@@ -438,18 +421,6 @@ TEST(PruneDifferentialTest, BoundComputeFaultsDegradeInvisibly) {
   }
 }
 
-TEST(PruneDifferentialTest, ShardDispatchFaultsLoseTheSameRangeInBothArms) {
-  // Dispatch is hit exactly once per shard regardless of pruning, so a
-  // counted spec kills the same shard in both arms; serial keeps the hit
-  // order deterministic.
-  RunConfig cfg;
-  cfg.num_shards = 4;
-  cfg.fault_point = "engine.shard_dispatch";
-  cfg.fault_spec.fire_on_hit = 2;  // The second shard of each run.
-  cfg.fault_spec.sticky = false;
-  SweepAllShapes(/*seed_base=*/400, cfg, /*trials=*/2);
-}
-
 // The strict (report-free) API: fault-free, pruning must preserve the exact
 // hits and the OK status. (Faulting strict runs are out of scope by design:
 // pruning may legitimately skip the very video whose failure the strict
@@ -471,7 +442,7 @@ TEST(PruneDifferentialTest, StrictApiFaultFreeParity) {
     plain.parallelism = 1;
     QueryOptions pruned = plain;
     pruned.prune = true;
-    pruned.num_shards = 2;
+    pruned.parallelism = 2;
     Retriever a(&store, plain);
     Retriever b(&store, pruned);
     Result<std::vector<SegmentHit>> want = a.TopSegments(*f, 2, 4);
@@ -490,8 +461,9 @@ TEST(PruneDifferentialTest, StrictApiFaultFreeParity) {
   }
 }
 
-// Whole-video retrieval prunes at the root: same parity surface.
-TEST(PruneDifferentialTest, TopVideosParityAcrossShardsAndPruning) {
+// Whole-video retrieval is the level-1 query, pruned at the root: same
+// parity surface.
+TEST(PruneDifferentialTest, LevelOneParityAcrossParallelismAndPruning) {
   for (uint64_t seed = 480; seed < 484; ++seed) {
     Rng rng(seed);
     MetadataStore store;
@@ -507,24 +479,25 @@ TEST(PruneDifferentialTest, TopVideosParityAcrossShardsAndPruning) {
     QueryOptions plain;
     plain.parallelism = 1;
     Retriever a(&store, plain);
-    Result<VideoRetrieval> want = a.TopVideosWithReport(*f, 3);
-    for (int shards : {1, 2, 8}) {
-      SCOPED_TRACE(shards);
+    Result<SegmentRetrieval> want = a.TopSegmentsWithReport(*f, 1, 3);
+    for (int parallelism : {1, 2, 8}) {
+      SCOPED_TRACE(parallelism);
       QueryOptions pruned = plain;
       pruned.prune = true;
-      pruned.num_shards = shards;
+      pruned.parallelism = parallelism;
       Retriever b(&store, pruned);
-      Result<VideoRetrieval> got = b.TopVideosWithReport(*f, 3);
+      Result<SegmentRetrieval> got = b.TopSegmentsWithReport(*f, 1, 3);
       ASSERT_EQ(want.ok(), got.ok()) << f->ToString();
       if (!want.ok()) continue;
       ASSERT_EQ(got->hits.size(), want->hits.size()) << f->ToString();
       for (size_t i = 0; i < got->hits.size(); ++i) {
         EXPECT_EQ(got->hits[i].video, want->hits[i].video) << f->ToString();
+        EXPECT_EQ(got->hits[i].segment, want->hits[i].segment);
         EXPECT_TRUE(got->hits[i].sim == want->hits[i].sim);
       }
       std::set<MetadataStore::VideoId> pruned_ids(got->report.pruned_videos.begin(),
                                                   got->report.pruned_videos.end());
-      for (const VideoHit& h : got->hits) EXPECT_EQ(pruned_ids.count(h.video), 0u);
+      for (const SegmentHit& h : got->hits) EXPECT_EQ(pruned_ids.count(h.video), 0u);
       EXPECT_EQ(got->report.videos_evaluated + got->report.videos_failed +
                     got->report.videos_pruned,
                 want->report.videos_evaluated + want->report.videos_failed);

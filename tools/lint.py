@@ -564,8 +564,6 @@ PRUNE_SYMBOLS = {
                       "tests/property/prune_differential_test.cc"),
     "prune": ("src/engine/query_options.h",
               "tests/property/prune_differential_test.cc"),
-    "num_shards": ("src/engine/query_options.h",
-                   "tests/property/prune_differential_test.cc"),
 }
 # Every src/ file allowed to reference the bound derivation. A new caller is
 # a new pruning decision: add it here AND cover it in the battery.
