@@ -1,13 +1,13 @@
-// Measures the result/sub-formula cache of src/cache: what a warm hit
-// saves, what a cold miss costs, and what cache_mode=off pays for the cache
-// code now being on the retrieval path. Arms, per query:
+// Measures the result cache of src/cache: what a warm hit saves, what a
+// cold miss costs, and what cache_mode=off pays for the cache code now
+// being on the retrieval path. Arms, per query:
 //
 //   handroll   per-video EvaluateList + TopKSegments + global rank on a
 //              cache-off retriever — the hand-rolled retrieval loop with no
 //              result-cache wrapper at all (the pre-cache code shape);
 //   off        TopSegmentsWithReport with cache_mode=kOff — the default
 //              configuration every existing caller runs;
-//   miss       cache_mode=kReadWrite with the caches cleared before every
+//   miss       cache_mode=kReadWrite with the cache cleared before every
 //              query — lookup miss + recompute + fill (the worst case);
 //   warm       cache_mode=kReadWrite, warmed once — every query a hit.
 //
@@ -80,7 +80,7 @@ int main() {
   // One off/handroll ratio per (query, round, rep) pair, for the paired gate.
   std::vector<double> off_ratios;
 
-  std::printf("result/sub-formula cache (16 videos, best of %d rounds)\n", kRounds);
+  std::printf("result cache (16 videos, best of %d rounds)\n", kRounds);
   std::printf("%-56s %-12s %-12s %-12s %-12s %s\n", "query", "handroll ms",
               "off ms", "miss ms", "warm ms", "off ovh");
 

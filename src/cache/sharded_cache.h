@@ -30,7 +30,7 @@ namespace htl::cache {
 /// rarely contend. Values are handed out as `shared_ptr<const V>`: a hit
 /// stays valid even if the entry is evicted a microsecond later, and
 /// entries are immutable once published (the determinism contract —
-/// DESIGN.md "Result and sub-formula caching").
+/// DESIGN.md "Result caching").
 ///
 /// Correctness under store mutation uses epoch stamping: every entry
 /// records the store epoch it was computed at, and a lookup presenting a

@@ -1,11 +1,12 @@
 #include "engine/direct_engine.h"
 
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
-#include "cache/sim_list_cache.h"
-#include "engine/level_eval.h"
-#include "htl/fingerprint.h"
+#include "model/object.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "picture/atomic.h"
@@ -16,6 +17,73 @@
 #include "util/string_util.h"
 
 namespace htl {
+
+namespace {
+
+/// Per-position accumulator behind the level modal operators: collects, for
+/// every (object bindings, value ranges) key, run-length-encoded entries
+/// over the parent-level positions, then materializes the result table.
+class LevelAccumulator {
+ public:
+  /// Captures the output schema from the first evaluated position's table
+  /// (even an empty one — the schema is what matters).
+  void SetSchema(const std::vector<std::string>& object_vars,
+                 const std::vector<std::string>& attr_vars) {
+    if (!schema_.has_value()) schema_ = SimilarityTable(object_vars, attr_vars);
+  }
+  bool has_schema() const { return schema_.has_value(); }
+
+  /// Feeds one row's value at parent position `pos` (the body's similarity
+  /// at the first element of the position's descendant sequence). Zero and
+  /// negative values are dropped; equal values at adjacent positions extend
+  /// the previous run.
+  void Add(SegmentId pos, double value, const std::vector<ObjectId>& objects,
+           const std::vector<ValueRange>& ranges) {
+    if (value <= 0) return;
+    std::string key;
+    for (ObjectId o : objects) key += StrCat(o, "|");
+    for (const ValueRange& r : ranges) key += r.ToString() + "|";
+    Accum& acc = accums_[key];
+    if (acc.entries.empty()) {
+      acc.objects = objects;
+      acc.ranges = ranges;
+    }
+    if (!acc.entries.empty() && acc.entries.back().actual == value &&
+        acc.entries.back().range.end + 1 == pos) {
+      acc.entries.back().range.end = pos;
+    } else {
+      acc.entries.push_back(SimEntry{Interval{pos, pos}, value});
+    }
+  }
+
+  /// Builds the result table (empty when no position was fed a schema);
+  /// every row's list gets `body_max` as its maximum.
+  Result<SimilarityTable> Finish(double body_max) {
+    if (!schema_.has_value()) return SimilarityTable();
+    SimilarityTable out(schema_->object_vars(), schema_->attr_vars());
+    for (auto& [key, acc] : accums_) {
+      SimilarityTable::Row row;
+      row.objects = std::move(acc.objects);
+      row.ranges = std::move(acc.ranges);
+      HTL_ASSIGN_OR_RETURN(row.list,
+                           SimilarityList::FromEntries(std::move(acc.entries), body_max));
+      out.AddRow(std::move(row));
+    }
+    return out;
+  }
+
+ private:
+  struct Accum {
+    std::vector<ObjectId> objects;
+    std::vector<ValueRange> ranges;
+    std::vector<SimEntry> entries;
+  };
+
+  std::optional<SimilarityTable> schema_;
+  std::map<std::string, Accum> accums_;
+};
+
+}  // namespace
 
 DirectEngine::DirectEngine(const VideoTree* video, QueryOptions options)
     : video_(video), options_(options), pictures_(video, options.picture) {
@@ -41,14 +109,6 @@ Result<SimilarityList> DirectEngine::EvaluateList(int level, const Formula& f) {
                "); retrieval queries must be closed"));
   }
   return table.ToList(MaxSimilarity(f));
-}
-
-Result<Sim> DirectEngine::EvaluateVideo(const Formula& f) {
-  HTL_ASSIGN_OR_RETURN(SimilarityTable table, EvalTable(1, Interval{1, 1}, f));
-  if (!table.object_vars().empty() || !table.attr_vars().empty()) {
-    return Status::InvalidArgument("formula has free variables");
-  }
-  return table.ToList(MaxSimilarity(f)).ValueAt(1);
 }
 
 Result<int> DirectEngine::ResolveLevel(int level, const LevelSpec& spec) const {
@@ -132,38 +192,7 @@ Result<SimilarityTable> DirectEngine::EvalTable(int level, const Interval& bound
                     [&](const SimilarityList& l) { return l.Clip(bounds); });
   }
 
-  // Cross-query similarity-list cache: closed non-atomic sub-formulas
-  // evaluated over the full level are exactly the interval-coded
-  // intermediates the paper makes reusable (§4-§5); serve them from the
-  // retriever-shared cache when one is attached. Only ≤1-row closed tables
-  // are published: for those, FromList(ToList(t)) reproduces the table the
-  // cold path returns bit for bit, so a hit is indistinguishable from a
-  // recompute.
-  const bool cacheable =
-      list_cache_ != nullptr && options_.cache_mode != CacheMode::kOff &&
-      f.kind != FormulaKind::kTrue && f.kind != FormulaKind::kFalse &&
-      bounds.begin == 1 && bounds.end == video_->NumSegments(level) &&
-      FreeObjectVars(f).empty() && FreeAttrVars(f).empty();
-  std::string cache_key;
-  if (cacheable) {
-    cache_key = CanonicalFormulaKey(f);
-    if (cache::SimListCache::ListPtr hit =
-            list_cache_->Get(cache_video_id_, level, cache_key, cache_epoch_)) {
-      HTL_OBS_SPAN(span, trace(), "cache.list");
-      span.SetNote("hit");
-      span.AddIntervals(static_cast<int64_t>(hit->entries().size()));
-      if (hit->empty()) return SimilarityTable();
-      return SimilarityTable::FromList(*hit);
-    }
-  }
-  HTL_ASSIGN_OR_RETURN(SimilarityTable table, EvalNode(level, bounds, f));
-  if (cacheable && options_.cache_mode == CacheMode::kReadWrite &&
-      table.num_rows() <= 1 && table.object_vars().empty() &&
-      table.attr_vars().empty()) {
-    list_cache_->Put(cache_video_id_, level, cache_key, cache_epoch_,
-                     table.ToList(MaxSimilarity(f)));
-  }
-  return table;
+  return EvalNode(level, bounds, f);
 }
 
 Result<SimilarityTable> DirectEngine::EvalNode(int level, const Interval& bounds,

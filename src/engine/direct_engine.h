@@ -15,9 +15,6 @@
 #include "util/result.h"
 
 namespace htl {
-namespace cache {
-class SimListCache;
-}  // namespace cache
 
 /// The optimized retrieval engine of section 3: evaluates extended
 /// conjunctive HTL formulas bottom-up over similarity lists and similarity
@@ -54,10 +51,6 @@ class DirectEngine {
   /// This is the operation the paper's experiments time.
   Result<SimilarityList> EvaluateList(int level, const Formula& f);
 
-  /// Similarity of `f` at the root of the video, in the one-element root
-  /// sequence — "satisfied by a video" (section 2.3).
-  Result<Sim> EvaluateVideo(const Formula& f);
-
   PictureSystem& pictures() { return pictures_; }
 
   /// Attaches a deadline/cancellation/budget context polled at every
@@ -70,25 +63,10 @@ class DirectEngine {
   /// changes or when timing cold runs).
   void ClearCache();
 
-  /// Lends the engine a cross-query similarity-list cache (borrowed, may
-  /// be null = disabled; must outlive the engine's evaluations). When set
-  /// and QueryOptions::cache_mode allows it, every *closed* non-atomic
-  /// sub-formula evaluated over a full level is served from / published
-  /// to the cache under `(video_id, level, canonical sub-formula key)`,
-  /// stamped with the epoch from set_cache_epoch().
-  void set_list_cache(cache::SimListCache* cache, int64_t video_id) {
-    list_cache_ = cache;
-    cache_video_id_ = video_id;
-  }
-
-  /// The store epoch stamped on (and required of) cache entries; the
-  /// retriever samples it once per query before evaluation starts.
-  void set_cache_epoch(uint64_t epoch) { cache_epoch_ = epoch; }
-
  private:
   Result<SimilarityTable> EvalTable(int level, const Interval& bounds, const Formula& f);
   /// The operator switch behind EvalTable (which wraps it with the depth
-  /// poll, the atomic-subtree cache, and the similarity-list cache).
+  /// poll and the atomic-subtree cache).
   Result<SimilarityTable> EvalNode(int level, const Interval& bounds, const Formula& f);
   Result<SimilarityTable> EvalLevelOp(int level, const Interval& bounds,
                                       const Formula& f);
@@ -103,9 +81,6 @@ class DirectEngine {
   QueryOptions options_;
   PictureSystem pictures_;
   ExecContext* exec_ = nullptr;  // Not owned; null means unlimited.
-  cache::SimListCache* list_cache_ = nullptr;  // Not owned; null disables.
-  int64_t cache_video_id_ = 0;
-  uint64_t cache_epoch_ = 0;
   // Full-level atomic tables keyed by (formula text, level). Text keys are
   // stable across formula lifetimes (pointer keys would alias when a freed
   // formula's address is reused by a later parse).

@@ -19,10 +19,8 @@ int64_t CachedQueryResult::ByteSize() const {
 }
 
 QueryCaches::QueryCaches(const QueryOptions& options)
-    : mode_(options.cache_mode),
-      results_(cache::CacheConfig{options.result_cache_bytes, options.cache_shards},
-               "result"),
-      lists_(cache::CacheConfig{options.list_cache_bytes, options.cache_shards}) {}
+    : results_(cache::CacheConfig{options.result_cache_bytes, options.cache_shards},
+               "result") {}
 
 bool QueryCaches::LookupFaulted() {
   // By hand rather than HTL_FAULT_POINT: the injected error must degrade

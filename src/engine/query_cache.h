@@ -8,7 +8,6 @@
 
 #include "cache/cache_stats.h"
 #include "cache/sharded_cache.h"
-#include "cache/sim_list_cache.h"
 #include "engine/exec_context.h"
 #include "engine/query_options.h"
 #include "engine/retrieval.h"
@@ -28,9 +27,7 @@ struct CachedQueryResult : SegmentRetrieval {
   int64_t ByteSize() const;
 };
 
-/// The per-Retriever cache bundle: the whole-query result cache (client
-/// (b) of the tentpole) and the DirectEngine similarity-list cache it
-/// lends to per-video engines (client (a)). Constructed only when
+/// The per-Retriever whole-query result cache. Constructed only when
 /// QueryOptions::cache_mode != kOff, so the off mode carries no cache
 /// state at all.
 class QueryCaches {
@@ -39,18 +36,15 @@ class QueryCaches {
 
   explicit QueryCaches(const QueryOptions& options);
 
-  /// The similarity-list cache shared by this retriever's video engines.
-  cache::SimListCache& lists() { return lists_; }
-
   /// Cached execution of one whole query: probe (annotating a
-  /// `cache.lookup` span with hit / miss / stale), then — in read-write
-  /// mode — run `cold` under the single-flight guard and publish the
-  /// result when it is complete (`cache.fill` span notes stored /
-  /// skipped). An injected `cache.lookup` fault bypasses the cache for
-  /// this call; a `cache.fill` fault skips only the store. `cold` is
-  /// `Result<CachedQueryResult>()` and runs on the caller's (or flight
-  /// leader's) thread under its own ExecContext; a failing leader
-  /// publishes nothing and waiters recompute for themselves.
+  /// `cache.lookup` span with hit / miss / stale), then run `cold` under
+  /// the single-flight guard and publish the result when it is complete
+  /// (`cache.fill` span notes stored / skipped). An injected
+  /// `cache.lookup` fault bypasses the cache for this call; a `cache.fill`
+  /// fault skips only the store. `cold` is `Result<CachedQueryResult>()`
+  /// and runs on the caller's (or flight leader's) thread under its own
+  /// ExecContext; a failing leader publishes nothing and waiters
+  /// recompute for themselves.
   template <typename Cold>
   Result<ResultPtr> GetOrRun(const std::string& key, uint64_t epoch, ExecContext* ctx,
                              obs::QueryTrace* trace, const Cold& cold) {
@@ -64,12 +58,6 @@ class QueryCaches {
       const auto found = results_.Get(key, epoch);
       span.SetNote(std::string(cache::LookupOutcomeName(found.outcome)));
       if (found.value != nullptr) return found.value;
-    }
-    if (mode_ != CacheMode::kReadWrite) {
-      HTL_ASSIGN_OR_RETURN(CachedQueryResult r, cold());
-      HTL_OBS_SPAN(span, trace, "cache.fill");
-      span.SetNote("skipped (cache_mode=read)");
-      return std::make_shared<const CachedQueryResult>(std::move(r));
     }
     using ResultLru = cache::ShardedLruCache<CachedQueryResult>;
     return results_.GetOrCompute(
@@ -94,21 +82,15 @@ class QueryCaches {
   }
 
   cache::CacheStats result_stats() const { return results_.stats(); }
-  cache::CacheStats list_stats() const { return lists_.stats(); }
 
-  /// Drops everything resident in both caches.
-  void Clear() {
-    results_.Clear();
-    lists_.Clear();
-  }
+  /// Drops every resident entry.
+  void Clear() { results_.Clear(); }
 
  private:
   static bool LookupFaulted();
   static bool FillFaulted();
 
-  CacheMode mode_;
   cache::ShardedLruCache<CachedQueryResult> results_;
-  cache::SimListCache lists_;
 };
 
 }  // namespace htl

@@ -9,13 +9,12 @@ namespace htl {
 
 class ThreadPool;
 
-/// Whether and how the retriever's caches participate in a query (see
-/// DESIGN.md "Result and sub-formula caching"). Off is the default: the
-/// historical recompute-everything path, bit for bit, with no cache
-/// machinery constructed at all.
+/// Whether the retriever's result cache answers repeated queries (see
+/// DESIGN.md "Result caching"). Off is the default: the historical
+/// recompute-everything path, bit for bit, with no cache machinery
+/// constructed at all.
 enum class CacheMode {
-  kOff,        // No caches; no key derivation; zero overhead.
-  kRead,       // Serve hits, never fill (warm-only readers).
+  kOff,        // No cache; no key derivation; zero overhead.
   kReadWrite,  // Serve hits and publish fills (single-flighted).
 };
 
@@ -55,20 +54,16 @@ struct QueryOptions {
   /// Borrowed, not owned — must outlive queries issued with these options.
   ThreadPool* thread_pool = nullptr;
 
-  /// Result / similarity-list caching (off by default). Cached output is
+  /// Whole-query result caching (off by default). Cached output is
   /// bit-identical to the cold path — hits replay a complete prior result
   /// of the same store epoch; partial (failed-video) results are never
   /// cached. Hits do not re-charge per-video budgets.
   CacheMode cache_mode = CacheMode::kOff;
 
-  /// Byte capacity of the whole-query result cache (Retriever client).
+  /// Byte capacity of the whole-query result cache.
   int64_t result_cache_bytes = 4 * 1024 * 1024;
 
-  /// Byte capacity of the per-video similarity-list cache (DirectEngine
-  /// client, closed sub-formula lists).
-  int64_t list_cache_bytes = 8 * 1024 * 1024;
-
-  /// Shard count for both caches (values < 1 clamp to 1).
+  /// Shard count of the result cache (values < 1 clamp to 1).
   int cache_shards = 8;
 
   /// Bound-based top-k pruning (off by default): derive a cheap per-video

@@ -65,11 +65,6 @@ Result<SimilarityList> ReferenceEngine::EvaluateList(int level, const Formula& f
   return SimilarityList::FromDense(dense, MaxSimilarity(f), bounds.begin);
 }
 
-Result<Sim> ReferenceEngine::EvaluateVideo(const Formula& f) {
-  EvalEnv env;
-  return Evaluate(1, Interval{1, 1}, 1, f, env);
-}
-
 Result<double> ReferenceEngine::Actual(int level, const Interval& bounds, SegmentId pos,
                                        const Formula& f, const EvalEnv& env) {
   HTL_CHECK(bounds.Contains(pos));

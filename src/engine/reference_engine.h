@@ -51,10 +51,6 @@ class ReferenceEngine {
   /// sequence of the root's descendants at that level).
   Result<SimilarityList> EvaluateList(int level, const Formula& f);
 
-  /// Similarity of `f` at the root, in the one-element root sequence —
-  /// "satisfied by a video" (section 2.3).
-  Result<Sim> EvaluateVideo(const Formula& f);
-
   /// Attaches a deadline/cancellation/budget context, polled on every
   /// recursive Actual() call — essential here, since the evaluator is
   /// worst-case exponential. Null (the default) disables all limits.

@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "cache/sim_list_cache.h"
 #include "engine/direct_engine.h"
 #include "engine/query_cache.h"
 #include "engine/reference_engine.h"
@@ -71,9 +70,7 @@ DirectEngine& Retriever::EngineLocked(VideoEngine& slot, MetadataStore::VideoId 
     // pointer and per-formula caches may both be invalid. Rebuild.
     slot.engine = std::make_unique<DirectEngine>(&store_->Video(video), options_);
     slot.built_epoch = epoch;
-    if (caches_ != nullptr) slot.engine->set_list_cache(&caches_->lists(), video);
   }
-  slot.engine->set_cache_epoch(epoch);
   return *slot.engine;
 }
 

@@ -121,12 +121,11 @@ struct SegmentRetrieval {
 /// Caching (QueryOptions::cache_mode, default off): with caching enabled
 /// the retriever owns a whole-query result cache (keyed by the level spec,
 /// k, and the canonical query fingerprint; the options need no key part, as
-/// each cache belongs to one retriever, whose options never change) and
-/// a similarity-list cache lent to the per-video engines for closed
-/// sub-formulas. Hits are bit-identical to cold recomputation at the same
-/// store epoch; entries from older epochs are lazily evicted; concurrent
-/// identical queries single-flight (one computes, the rest wait). See
-/// DESIGN.md "Result and sub-formula caching".
+/// each cache belongs to one retriever, whose options never change). Hits
+/// are bit-identical to cold recomputation at the same store epoch; entries
+/// from older epochs are lazily evicted; concurrent identical queries
+/// single-flight (one computes, the rest wait). See DESIGN.md "Result
+/// caching".
 class Retriever {
  public:
   /// `store` must outlive the retriever.
@@ -217,7 +216,7 @@ class Retriever {
   VideoEngine& EngineFor(MetadataStore::VideoId video);
 
   /// The slot's engine, (re)built for `epoch` if absent or stale. Requires
-  /// the slot's `mu` to be held; attaches the list cache when enabled.
+  /// the slot's `mu` to be held.
   DirectEngine& EngineLocked(VideoEngine& slot, MetadataStore::VideoId video,
                              uint64_t epoch) HTL_REQUIRES(slot.mu);
 

@@ -88,7 +88,7 @@ std::string Constraint::ToString() const {
       body = StrCat(pred_name, "(", StrJoin(pred_args, ", "), ")");
       break;
   }
-  if (weight != 1.0) body = StrCat(body, " @ ", weight);
+  if (weight != 1.0) body = StrCat(body, " @ ", FormatRoundTrip(weight));
   return body;
 }
 

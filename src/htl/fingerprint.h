@@ -10,9 +10,10 @@
 namespace htl {
 
 /// Canonical cache key of `f`: the concrete-syntax serialization (which
-/// carries constraint weights and freeze terms verbatim) with the operands
-/// of the commutative connectives `and` / `or` ordered by their own
-/// canonical form. Two formulas with equal canonical keys evaluate to
+/// carries constraint weights, literals and freeze terms verbatim; numbers
+/// print as their shortest round-trip text) with the operands of the
+/// commutative connectives `and` / `or` ordered by their own canonical
+/// form. Two formulas with equal canonical keys evaluate to
 /// bit-identical similarity lists: the engines combine `and` by IEEE
 /// addition of actuals (or the fuzzy min of fractions) and `or` by max,
 /// all symmetric at a single node, so swapping one node's operands never

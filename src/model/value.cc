@@ -7,8 +7,15 @@ namespace htl {
 std::string AttrValue::ToString() const {
   if (is_null()) return "null";
   if (is_int()) return StrCat(AsInt());
-  if (is_double()) return StrCat(AsDouble());
-  return StrCat("'", AsString(), "'");
+  if (is_double()) return FormatRoundTrip(AsDouble());
+  // Quoted the way the lexer reads it back: '' escapes an embedded quote.
+  std::string out = "'";
+  for (const char c : AsString()) {
+    out += c;
+    if (c == '\'') out += '\'';
+  }
+  out += '\'';
+  return out;
 }
 
 }  // namespace htl

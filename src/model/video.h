@@ -148,9 +148,9 @@ class MetadataStore {
   /// The store's mutation generation. Every mutation (AddVideo,
   /// MutableVideo, BumpEpoch) advances it; caches stamp entries with the
   /// epoch they were computed at and lazily evict entries whose stamp
-  /// fell behind (DESIGN.md "Result and sub-formula caching"). Mutations
-  /// must still be externally serialized against in-flight queries; the
-  /// epoch makes cached state safe *across* that serialization point.
+  /// fell behind (DESIGN.md "Result caching"). Mutations must still be
+  /// externally serialized against in-flight queries; the epoch makes
+  /// cached state safe *across* that serialization point.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
   /// Manually invalidates all cached state derived from this store (e.g.

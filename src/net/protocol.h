@@ -68,7 +68,7 @@ struct QueryRequest {
   /// server default. The server cancels its own work when this expires.
   int64_t deadline_ms = 0;
 
-  /// Serve from / fill the server's result+list caches (the server keeps a
+  /// Serve from / fill the server's result cache (the server keeps a
   /// cached and an uncached Retriever; both are bit-identical per epoch).
   bool use_cache = false;
 

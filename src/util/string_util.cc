@@ -1,7 +1,10 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <iomanip>
+#include <iterator>
 
 namespace htl {
 
@@ -42,6 +45,15 @@ std::string FormatFixed(double v, int digits) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(digits) << v;
   return os.str();
+}
+
+std::string FormatRoundTrip(double v) {
+  char buf[512];  // Any double's fixed text fits: at most 327 characters.
+  const std::to_chars_result r =
+      std::to_chars(buf, std::end(buf), v, std::chars_format::fixed);
+  std::string out(buf, r.ptr);
+  if (std::isfinite(v) && std::fabs(v) >= 0x1p63) out += ".0";
+  return out;
 }
 
 void AppendJsonEscaped(std::string* out, std::string_view s) {

@@ -54,6 +54,12 @@ std::string StrJoin(const Container& parts, std::string_view sep) {
 /// (fixed, `digits` decimals).
 std::string FormatFixed(double v, int digits);
 
+/// Formats a double as the shortest fixed-notation text that reads back as
+/// exactly `v` ("1234567.5", "0.00001", "2"): the HTL lexer reads no
+/// exponent. Past int64's range a ".0" is appended, so the integral text
+/// still reads as a number instead of an out-of-range integer.
+std::string FormatRoundTrip(double v);
+
 /// Appends `s` to `*out` escaped for use inside a JSON string literal
 /// (quotes, backslashes, and control characters; everything else verbatim —
 /// the telemetry plane emits UTF-8 pass-through).

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,8 +16,10 @@
 #include "htl/classifier.h"
 #include "htl/fingerprint.h"
 #include "model/video.h"
+#include "obs/metrics.h"
 #include "testing/helpers.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "workload/video_gen.h"
 
@@ -74,10 +77,9 @@ class CacheDifferentialTest : public ::testing::Test {
 
   Retriever MakeCold() { return Retriever(&store_, QueryOptions{}); }
 
-  Retriever MakeCached(CacheMode mode = CacheMode::kReadWrite,
-                       int parallelism = 1) {
+  Retriever MakeCached(int parallelism = 1) {
     QueryOptions options;
-    options.cache_mode = mode;
+    options.cache_mode = CacheMode::kReadWrite;
     options.parallelism = parallelism;
     options.thread_pool = parallelism > 1 ? &pool_ : nullptr;
     return Retriever(&store_, options);
@@ -197,7 +199,7 @@ TEST_F(CacheDifferentialTest, ParallelismSweepMatchesSerialCold) {
     ASSERT_OK_AND_ASSIGN(FormulaPtr f, cold.Prepare(q.text));
     ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, cold.TopSegmentsWithReport(*f, 2, 10));
     for (int workers : {1, 2, 4}) {
-      Retriever cached = MakeCached(CacheMode::kReadWrite, workers);
+      Retriever cached = MakeCached(workers);
       for (int run = 0; run < 2; ++run) {
         ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
                              cached.TopSegmentsWithReport(*f, 2, 10));
@@ -220,7 +222,6 @@ TEST_F(CacheDifferentialTest, TinyBudgetsEvictButNeverCorrupt) {
   QueryOptions options;
   options.cache_mode = CacheMode::kReadWrite;
   options.result_cache_bytes = 512;  // A couple of entries store-wide.
-  options.list_cache_bytes = 256;
   options.cache_shards = 2;
   Retriever cached(&store_, options);
   std::vector<FormulaPtr> formulas;
@@ -243,23 +244,6 @@ TEST_F(CacheDifferentialTest, TinyBudgetsEvictButNeverCorrupt) {
   const cache::CacheStats stats = cached.caches()->result_stats();
   EXPECT_GT(stats.evictions, 0) << stats.ToString();
   EXPECT_LE(stats.bytes, options.result_cache_bytes) << stats.ToString();
-}
-
-// cache_mode = kRead probes but never stores: with nothing ever filled,
-// every run recomputes and still matches cold.
-TEST_F(CacheDifferentialTest, ReadModeNeverStores) {
-  Retriever cached = MakeCached(CacheMode::kRead);
-  ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(kQueries[0].text));
-  SegmentRetrieval want = ColdAnswer(*f, 2);
-  for (int run = 0; run < 2; ++run) {
-    ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
-                         cached.TopSegmentsWithReport(*f, 2, 10));
-    ExpectSameSegmentResults(want, got, "run " + std::to_string(run));
-  }
-  const cache::CacheStats stats = cached.caches()->result_stats();
-  EXPECT_EQ(stats.fills, 0) << stats.ToString();
-  EXPECT_EQ(stats.entries, 0) << stats.ToString();
-  EXPECT_EQ(stats.misses, 2) << stats.ToString();
 }
 
 // Commutative operand order canonicalizes into one cache key: `a and b`
@@ -288,29 +272,57 @@ TEST_F(CacheDifferentialTest, CommutativeOperandOrderSharesOneEntry) {
   ExpectSameSegmentResults(ColdAnswer(*ab, 2), second, "vs cold");
 }
 
-// The sub-formula (similarity-list) cache alone: EvaluateList through a
-// caching retriever matches the cache-off list exactly for every video.
-TEST_F(CacheDifferentialTest, EvaluateListMatchesColdPerVideo) {
-  Retriever cached = MakeCached();
-  Retriever cold = MakeCold();
+// The result cache's hit/miss/stale/fill/eviction counters reach the
+// process metrics registry one for one: an operator scraping
+// `cache.result.*` sees exactly what result_stats() counts.
+TEST_F(CacheDifferentialTest, ResultCacheCountersReachTheRegistry) {
+  struct ScopedMetrics {
+    ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(true); }
+    ~ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(false); }
+  } metrics;
+  const char* kOutcomes[] = {"hits", "misses", "stale", "fills", "evictions"};
+  std::vector<obs::Counter*> counters;
+  std::vector<int64_t> before;
+  for (const char* outcome : kOutcomes) {
+    counters.push_back(obs::MetricsRegistry::Instance().GetCounter(
+        StrCat("cache.result.", outcome)));
+    before.push_back(counters.back()->Value());
+  }
+
+  // k = 1 keeps every answer within one hit of the same size, so a budget
+  // of the largest answer holds any one of them but never two: each fill
+  // of a new key evicts the resident one.
+  std::vector<FormulaPtr> formulas;
+  int64_t largest = 0;
   for (const ClassedQuery& q : kQueries) {
-    ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(q.text));
-    for (MetadataStore::VideoId v = 1; v <= store_.num_videos(); ++v) {
-      for (int run = 0; run < 2; ++run) {
-        SCOPED_TRACE(std::string(q.text) + " video " + std::to_string(v) +
-                     " run " + std::to_string(run));
-        Result<SimilarityList> want = cold.EvaluateList(v, 2, *f);
-        Result<SimilarityList> got = cached.EvaluateList(v, 2, *f);
-        // Videos where the query cannot evaluate (e.g. no next level) must
-        // fail identically, not differently, through the cache.
-        ASSERT_EQ(want.ok(), got.ok()) << got.status().ToString();
-        if (!want.ok()) {
-          EXPECT_EQ(want.status().code(), got.status().code());
-          continue;
-        }
-        EXPECT_TRUE(want.value() == got.value());
-      }
-    }
+    Retriever cold = MakeCold();
+    ASSERT_OK_AND_ASSIGN(FormulaPtr f, cold.Prepare(q.text));
+    ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, cold.TopSegmentsWithReport(*f, 2, 1));
+    ASSERT_TRUE(want.report.complete()) << q.text;
+    largest = std::max(largest, CachedQueryResult{std::move(want)}.ByteSize());
+    formulas.push_back(std::move(f));
+  }
+  QueryOptions options;
+  options.cache_mode = CacheMode::kReadWrite;
+  options.result_cache_bytes = largest;
+  options.cache_shards = 1;
+  Retriever cached(&store_, options);
+
+  ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Miss, fill.
+  ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Hit.
+  store_.BumpEpoch();
+  ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Stale, fill.
+  for (size_t i = 1; i < formulas.size(); ++i) {  // Miss, fill, evict.
+    ASSERT_OK(cached.TopSegmentsWithReport(*formulas[i], 2, 1).status());
+  }
+
+  const cache::CacheStats stats = cached.caches()->result_stats();
+  const int64_t want[] = {stats.hits, stats.misses, stats.stale, stats.fills,
+                          stats.evictions};
+  for (size_t i = 0; i < counters.size(); ++i) {
+    SCOPED_TRACE(kOutcomes[i]);
+    EXPECT_GT(want[i], 0) << stats.ToString();
+    EXPECT_EQ(counters[i]->Value() - before[i], want[i]) << stats.ToString();
   }
 }
 

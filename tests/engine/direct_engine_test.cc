@@ -159,9 +159,9 @@ TEST(DirectEngineTest, LevelOperatorOnDeepVideo) {
   }
   // Root-level query through two level hops.
   FormulaPtr root_q = Parse("at-shot-level(mark = 1)");
-  ASSERT_OK_AND_ASSIGN(Sim got, direct.EvaluateVideo(*root_q));
-  ASSERT_OK_AND_ASSIGN(Sim want, reference.EvaluateVideo(*root_q));
-  EXPECT_EQ(got, want);
+  ASSERT_OK_AND_ASSIGN(SimilarityList got, direct.EvaluateList(1, *root_q));
+  ASSERT_OK_AND_ASSIGN(SimilarityList want, reference.EvaluateList(1, *root_q));
+  EXPECT_EQ(got.ValueAt(1), want.ValueAt(1));
 }
 
 TEST(DirectEngineTest, LevelOperatorWithSharedVariable) {
@@ -187,13 +187,15 @@ TEST(DirectEngineTest, LevelOperatorWithSharedVariable) {
   EXPECT_TRUE(ListsEqual(got, want));
 }
 
-TEST(DirectEngineTest, EvaluateVideoBrowsingQuery) {
+TEST(DirectEngineTest, BrowsingQueryAtLevelOne) {
   VideoTree v = MakeTestVideo();
   v.MutableMeta(1, 1).SetAttribute("type", AttrValue("western"));
   v.MutableMeta(1, 1).SetAttribute("star", AttrValue("JohnWayne"));
   DirectEngine e(&v);
   ASSERT_OK_AND_ASSIGN(
-      Sim sim, e.EvaluateVideo(*Parse("type = 'western' @ 2 and star = 'JohnWayne'")));
+      SimilarityList list,
+      e.EvaluateList(1, *Parse("type = 'western' @ 2 and star = 'JohnWayne'")));
+  const Sim sim = list.ValueAt(1);
   EXPECT_EQ(sim.actual, 3.0);
   EXPECT_EQ(sim.max, 3.0);
 }

@@ -142,11 +142,13 @@ TEST(ReferenceEngineTest, FreezeComparesAcrossTime) {
   EXPECT_TRUE(ListsEqual(list, L({{1, 2, 2.0}, {3, 3, 1.0}}, 2.0)));
 }
 
-TEST(ReferenceEngineTest, EvaluateVideoAtRoot) {
+TEST(ReferenceEngineTest, RootQueryAtLevelOne) {
   VideoTree v = MakeTestVideo();
   v.MutableMeta(1, 1).SetAttribute("type", AttrValue("western"));
   ReferenceEngine e(&v);
-  ASSERT_OK_AND_ASSIGN(Sim sim, e.EvaluateVideo(*Parse("type = 'western' @ 4")));
+  ASSERT_OK_AND_ASSIGN(SimilarityList list,
+                       e.EvaluateList(1, *Parse("type = 'western' @ 4")));
+  const Sim sim = list.ValueAt(1);
   EXPECT_EQ(sim.actual, 4.0);
   EXPECT_EQ(sim.max, 4.0);
 }
@@ -177,8 +179,9 @@ TEST(ReferenceEngineTest, LevelOperatorReadsFirstChild) {
 
   // From the root, at-shot-level sees the whole shot sequence; its first
   // element is shot 1.
-  ASSERT_OK_AND_ASSIGN(Sim sim, e.EvaluateVideo(*Parse("at-shot-level(mark = 1)")));
-  EXPECT_EQ(sim.actual, 1.0);
+  ASSERT_OK_AND_ASSIGN(SimilarityList root,
+                       e.EvaluateList(1, *Parse("at-shot-level(mark = 1)")));
+  EXPECT_EQ(root.ValueAt(1).actual, 1.0);
 }
 
 TEST(ReferenceEngineTest, AtNextLevelBelowLeavesIsZero) {

@@ -39,6 +39,37 @@ MetadataStore MakeStore() {
   return store;
 }
 
+// Formula texts key the engines' atomic-table cache and the result cache,
+// so literals that differ only past six significant digits must print
+// differently: a shared key answers the second query with the first's
+// table. Checked with caching off and on.
+TEST(RetrieverTest, LiteralsPastSixDigitsDoNotShareCacheEntries) {
+  MetadataStore store;
+  VideoTree v = VideoTree::Flat(3);
+  ObjectAppearance tower;
+  tower.id = 31;
+  tower.attributes["height"] = AttrValue(1234567.5);
+  v.MutableMeta(2, 2).AddObject(std::move(tower));
+  store.AddVideo(std::move(v));
+  const char* kTexts[] = {"exists x (present(x) and height(x) > 1234567.0)",
+                          "exists x (present(x) and height(x) > 1234568.0)"};
+  for (CacheMode mode : {CacheMode::kOff, CacheMode::kReadWrite}) {
+    QueryOptions options;
+    options.cache_mode = mode;
+    Retriever shared(&store, options);
+    for (const char* text : kTexts) {
+      SCOPED_TRACE(StrCat(text, " cache_mode ", static_cast<int>(mode)));
+      Retriever fresh(&store);
+      ASSERT_OK_AND_ASSIGN(auto want, fresh.TopSegments(text, 2, 10));
+      ASSERT_OK_AND_ASSIGN(auto got, shared.TopSegments(text, 2, 10));
+      ASSERT_EQ(want.size(), 1u);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(got[0].segment, want[0].segment);
+      EXPECT_EQ(got[0].sim, want[0].sim);
+    }
+  }
+}
+
 TEST(RetrieverTest, PrepareParsesAndBinds) {
   MetadataStore store = MakeStore();
   Retriever r(&store);

@@ -166,6 +166,12 @@ TEST(ParserTest, RoundTripThroughToString) {
       "exists x, y (present(x) and fires_at(x, y))",
       "at-shot-level ((m1() until m2()))",
       "[h <- height(z)] (eventually (height(z) > h))",
+      // Literals and weights print at full precision, quotes escaped.
+      "type(x) = 'it''s'",
+      "height(x) > 1234567.5",
+      "height(x) > 100000000000000000000.0",
+      "type = 'a' @ 0.00001",
+      "present(x) @ 1.0000001",
   };
   for (const char* q : queries) {
     FormulaPtr f1 = MustParse(q);

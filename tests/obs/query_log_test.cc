@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/profile.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace htl::obs {
@@ -59,7 +60,7 @@ TEST(QueryLog, RingOverwritesOldestAtCapacity) {
   options.slow_threshold_us = -1;  // No retention in this test.
   QueryLog log(options);
   for (int i = 1; i <= 10; ++i) {
-    log.Record(MakeRecord("q" + std::to_string(i), i));
+    log.Record(MakeRecord(StrCat("q", i), i));
   }
   EXPECT_EQ(log.total_recorded(), 10u);
   EXPECT_EQ(log.size(), 4u);
@@ -104,7 +105,7 @@ TEST(QueryLog, SamplingRetainsEveryNth) {
   options.sample_every = 3;
   QueryLog log(options);
   for (int i = 1; i <= 9; ++i) {
-    log.Record(MakeRecord("q", 1), MakeProfile("p" + std::to_string(i)));
+    log.Record(MakeRecord("q", 1), MakeProfile(StrCat("p", i)));
   }
   EXPECT_EQ(log.retained_profiles(), 3u);  // ids 3, 6, 9.
   EXPECT_NE(log.ProfileFor(3), nullptr);
@@ -212,7 +213,7 @@ TEST(QueryLog, ConcurrentRecordAndTailAreSafe) {
   const Status status = ParallelFor(&pool, 8, [&](int64_t worker) -> Status {
     for (int i = 0; i < 500; ++i) {
       if (worker % 2 == 0) {
-        log.Record(MakeRecord("w" + std::to_string(worker), i),
+        log.Record(MakeRecord(StrCat("w", worker), i),
                    MakeProfile("p"));
       } else {
         const std::vector<QueryLog::Entry> tail = log.Tail(16);

@@ -60,14 +60,15 @@ void CompareEnginesOnSeed(uint64_t seed, bool allow_or, bool allow_level,
     const int level = allow_level ? 2 : video.num_levels();
     ExpectListsAgree(direct, reference, level, *f, seed);
     ExpectListsAgree(direct_low, reference_low, level, *f, seed);
-    // The same formula asserted at the root: whole-video similarity.
-    auto got = direct.EvaluateVideo(*f);
-    auto want = reference.EvaluateVideo(*f);
+    // The same formula asserted at the root: whole-video similarity is the
+    // level-1 list, which holds exactly the root.
+    auto got = direct.EvaluateList(1, *f);
+    auto want = reference.EvaluateList(1, *f);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     ASSERT_TRUE(got.ok()) << got.status().ToString() << "\nformula: " << f->ToString();
-    EXPECT_NEAR(got.value().actual, want.value().actual, 1e-9)
+    EXPECT_NEAR(got.value().ValueAt(1).actual, want.value().ValueAt(1).actual, 1e-9)
         << "seed " << seed << " formula: " << f->ToString();
-    EXPECT_NEAR(got.value().max, want.value().max, 1e-9)
+    EXPECT_NEAR(got.value().ValueAt(1).max, want.value().ValueAt(1).max, 1e-9)
         << "seed " << seed << " formula: " << f->ToString();
   }
 }

@@ -207,7 +207,9 @@ TEST_F(FaultInjectionTest, AllVideosFaultingStillReturnsCleanEmptyResult) {
       EXPECT_EQ(out.report.videos_failed + out.report.videos_evaluated, 2);
       EXPECT_EQ(out.report.failures.size(),
                 static_cast<size_t>(out.report.videos_failed));
-      if (out.report.videos_failed == 2) EXPECT_TRUE(out.hits.empty());
+      if (out.report.videos_failed == 2) {
+        EXPECT_TRUE(out.hits.empty());
+      }
     }
   }
 }
@@ -272,7 +274,6 @@ TEST_F(FaultInjectionTest, CacheFillFaultDegradesToBypassRecompute) {
   FaultRegistry::Instance().DisableAll();
   EXPECT_EQ(r.caches()->result_stats().entries, 0)
       << "a faulted fill stored an entry";
-  EXPECT_EQ(r.caches()->list_stats().entries, 0);
 }
 
 // A lookup fault bypasses the cache (even a warm one) and recomputes; the

@@ -93,14 +93,15 @@ TEST(WesternTest, BrowsingQueryAtRoot) {
   FormulaPtr f = western::BrowsingQuery();
   ASSERT_OK(Bind(f.get()));
   EXPECT_EQ(Classify(*f), FormulaClass::kExtendedConjunctive);
-  ASSERT_OK_AND_ASSIGN(Sim sim, engine.EvaluateVideo(*f));
+  ASSERT_OK_AND_ASSIGN(SimilarityList list, engine.EvaluateList(1, *f));
+  const Sim sim = list.ValueAt(1);
   // type='western' (1) + formula (B) at the first frame (5) out of 12.
   EXPECT_DOUBLE_EQ(sim.actual, 6.0);
   EXPECT_DOUBLE_EQ(sim.max, 12.0);
   // Reference agrees.
   ReferenceEngine reference(&v);
-  ASSERT_OK_AND_ASSIGN(Sim ref, reference.EvaluateVideo(*f));
-  EXPECT_EQ(sim, ref);
+  ASSERT_OK_AND_ASSIGN(SimilarityList ref, reference.EvaluateList(1, *f));
+  EXPECT_EQ(sim, ref.ValueAt(1));
 }
 
 TEST(WesternTest, SceneLevelTemporalQuery) {

@@ -67,13 +67,6 @@ src/ layout conventions.
                     the drain path's cross-thread shutdown (DESIGN.md "Query
                     service"). An ad-hoc socket can block forever and is
                     invisible to graceful drain.
-  cache-obs         Cache machinery files (CACHE_OBS_FILES: the sharded LRU
-                    and its clients in src/cache/) must reference the
-                    observability layer: a cache whose hits/misses/evictions
-                    never reach obs::MetricsRegistry cannot be sized or
-                    debugged in production (CONTRIBUTING.md ground rule). New
-                    cache clients belong on the list. File-scoped: suppress
-                    with `// htl-lint: allow(cache-obs)` anywhere in the file.
   net-wide-event    Server request-path files (NET_WIDE_EVENT_FILES:
                     src/net/server.cc) must land every request in the
                     wide-event query log (RecordWideEvent / query_log_) and
@@ -136,7 +129,6 @@ ALL_RULES = {
     "no-raw-thread",
     "no-raw-mutex",
     "no-raw-socket",
-    "cache-obs",
     "net-wide-event",
     "prune-differential",
     "stale-suppression",
@@ -469,26 +461,6 @@ def check_obs_operator_span(lint: FileLint, code: str) -> None:
             "their work, see CONTRIBUTING.md")
 
 
-# The cache substrate and every cache client: each must feed the metrics
-# registry (hit/miss/fill/eviction counters) so deployed caches are
-# observable. New cache clients belong on this list (CONTRIBUTING.md).
-CACHE_OBS_FILES = {
-    "src/cache/sharded_cache.h",
-    "src/cache/sim_list_cache.cc",
-}
-
-
-def check_cache_obs(lint: FileLint, code: str) -> None:
-    if rel_posix(lint.path) not in CACHE_OBS_FILES:
-        return
-    if not OBS_REF_RE.search(code):
-        lint.hit_file_scoped(
-            "cache-obs",
-            "cache machinery never references the observability layer; "
-            "hit/miss/fill/eviction counters must reach obs::MetricsRegistry, "
-            "see CONTRIBUTING.md")
-
-
 # Server request-path files: every request must land one wide event in the
 # query log and one latency observation, whatever its outcome — the slowlog
 # and tools/htlstat.py are blind to paths that skip it. New server request
@@ -681,7 +653,6 @@ def lint_file(path: Path) -> list[Finding]:
     check_exec_context_polling(lint, code)
     check_no_bare_timer(lint, code_lines)
     check_obs_operator_span(lint, code)
-    check_cache_obs(lint, code)
     check_net_wide_event(lint, code)
     check_stale_suppressions(lint)
     return lint.findings
