@@ -39,7 +39,7 @@ struct CacheStats {
 enum class LookupOutcome {
   kHit,
   kMiss,
-  kStale,  // Present but from an older store epoch; evicted, counts as miss.
+  kStale,  // Present but stamped with another epoch; evicted, counts as miss.
 };
 
 /// Span/log note for an outcome.

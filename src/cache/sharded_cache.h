@@ -32,9 +32,10 @@ namespace htl::cache {
 /// entries are immutable once published (the determinism contract —
 /// DESIGN.md "Result caching").
 ///
-/// Correctness under store mutation uses epoch stamping: every entry
-/// records the store epoch it was computed at, and a lookup presenting a
-/// newer epoch lazily evicts the stale entry and reports a miss. Eviction
+/// Correctness under store appends uses epoch stamping: every entry
+/// records the epoch its caller computed it at (the Retriever passes the
+/// store's video count), and a lookup presenting a different epoch lazily
+/// evicts the stale entry and reports a miss. Eviction
 /// is per shard from the LRU tail once the shard's slice of
 /// `capacity_bytes` overflows.
 ///

@@ -59,8 +59,8 @@ class DirectEngine {
   /// evaluation calls it governs.
   void set_exec_context(ExecContext* ctx) { exec_ = ctx; }
 
-  /// Drops the per-formula caches (needed when the video's meta-data
-  /// changes or when timing cold runs).
+  /// Drops the per-formula caches. A video's meta-data never changes once
+  /// it is in the store, so only cold-run timing needs this.
   void ClearCache();
 
  private:

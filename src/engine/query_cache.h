@@ -20,8 +20,8 @@ namespace htl {
 /// counters. The profile is intentionally left empty — profiles describe
 /// the run that produced them; a hit's profile is its own `cache.lookup`
 /// span. Only complete reports (no failed videos) are ever stored, so
-/// replaying a hit is bit-identical to recomputing on a healthy store at
-/// the same epoch.
+/// replaying a hit is bit-identical to recomputing on the same healthy
+/// store.
 struct CachedQueryResult : SegmentRetrieval {
   /// Approximate resident cost charged against the cache capacity.
   int64_t ByteSize() const;

@@ -56,7 +56,7 @@ struct QueryOptions {
 
   /// Whole-query result caching (off by default). Cached output is
   /// bit-identical to the cold path — hits replay a complete prior result
-  /// of the same store epoch; partial (failed-video) results are never
+  /// over the same store contents; partial (failed-video) results are never
   /// cached. Hits do not re-charge per-video budgets.
   CacheMode cache_mode = CacheMode::kOff;
 

@@ -63,17 +63,6 @@ Retriever::VideoEngine& Retriever::EngineFor(MetadataStore::VideoId video) {
   return *it->second;
 }
 
-DirectEngine& Retriever::EngineLocked(VideoEngine& slot, MetadataStore::VideoId video,
-                                      uint64_t epoch) {
-  if (slot.engine == nullptr || slot.built_epoch != epoch) {
-    // Absent, or built against an older store generation: its VideoTree
-    // pointer and per-formula caches may both be invalid. Rebuild.
-    slot.engine = std::make_unique<DirectEngine>(&store_->Video(video), options_);
-    slot.built_epoch = epoch;
-  }
-  return *slot.engine;
-}
-
 int Retriever::EffectiveWorkers() const {
   int workers = options_.parallelism > 0 ? options_.parallelism
                                          : ThreadPool::DefaultParallelism();
@@ -82,42 +71,21 @@ int Retriever::EffectiveWorkers() const {
   return workers < 1 ? 1 : workers;
 }
 
-std::shared_ptr<const VideoStats> Retriever::StatsFor(MetadataStore::VideoId video,
-                                                      const VideoTree& tree,
-                                                      uint64_t epoch) {
-  VideoStatsSlot* slot;
-  {
-    MutexLock lock(&stats_mu_);
-    auto it = stats_.find(video);
-    if (it == stats_.end()) {
-      it = stats_.emplace(video, std::make_unique<VideoStatsSlot>()).first;
-    }
-    slot = it->second.get();  // Map nodes are stable across later insertions.
-  }
-  MutexLock lock(&slot->mu);
-  if (slot->stats == nullptr || slot->built_epoch != epoch) {
-    slot->stats = std::make_shared<const VideoStats>(VideoStats::Build(tree));
-    slot->built_epoch = epoch;
-  }
-  return slot->stats;
-}
-
 Result<double> Retriever::BoundForVideo(const Formula& query,
-                                        MetadataStore::VideoId video,
-                                        const VideoTree& tree, int level,
-                                        uint64_t epoch) {
+                                        MetadataStore::VideoId video, int level) {
   // An injected failure (any code, even an abort-shaped one) degrades to
   // full evaluation at the caller: the bound is advisory, never load-bearing.
   HTL_FAULT_POINT("engine.bound_compute");
   HTL_OBS_COUNT("engine.prune.bound_checks", 1);
+  const VideoTree& tree = store_->Video(video);
   // A level past this video's hierarchy evaluates to an empty list; return
   // the trivial bound so the video still evaluates and per-video counts
   // stay aligned with the unpruned run.
   if (level > tree.num_levels()) return 1.0;
-  std::shared_ptr<const VideoStats> stats = StatsFor(video, tree, epoch);
   BoundOptions bound_options;
   bound_options.fuzzy_and = options_.and_semantics == AndSemantics::kFuzzyMin;
-  const double ub = UpperBoundFraction(query, tree, *stats, level, bound_options);
+  const double ub =
+      UpperBoundFraction(query, tree, store_->Stats(video), level, bound_options);
   if (obs::MetricsRegistry::Enabled()) {
     static obs::Histogram* bound_hist =
         obs::MetricsRegistry::Instance().GetHistogram(
@@ -142,10 +110,12 @@ Result<SimilarityList> Retriever::EvaluateList(MetadataStore::VideoId video_id, 
   {
     VideoEngine& slot = EngineFor(video_id);
     MutexLock lock(&slot.mu);
-    DirectEngine& engine = EngineLocked(slot, video_id, store_->epoch());
-    engine.set_exec_context(ctx);
-    Result<SimilarityList> direct = engine.EvaluateList(level, query);
-    engine.set_exec_context(nullptr);
+    if (slot.engine == nullptr) {
+      slot.engine = std::make_unique<DirectEngine>(&video, options_);
+    }
+    slot.engine->set_exec_context(ctx);
+    Result<SimilarityList> direct = slot.engine->EvaluateList(level, query);
+    slot.engine->set_exec_context(nullptr);
     if (direct.ok() || direct.status().code() != StatusCode::kUnimplemented) {
       return direct;
     }
@@ -374,10 +344,11 @@ Result<SegmentRetrieval> Retriever::RunSegmentQuery(const Formula& query, int64_
     return Status::InvalidArgument(StrCat("k ", k, " is not a hit count (k starts at 1)"));
   }
   if (caches_ == nullptr) return RunSegmentQueryCold(query, k, ctx, resolve_level);
-  // One epoch sample governs the whole query: lookups validate against it
-  // and the fill is stamped with it, so a mutation slipping in mid-query
-  // (a contract violation) can only leave entries a later lookup evicts.
-  const uint64_t epoch = store_->epoch();
+  // The store is append-only, so its video count identifies its contents.
+  // One sample governs the whole query: the lookup validates against it and
+  // the fill is stamped with it, so an append slipping in mid-query (a
+  // contract violation) can only leave entries a later lookup evicts.
+  const auto epoch = static_cast<uint64_t>(store_->num_videos());
   const std::string key = StrCat(level_tag(), "|k", k, "|", CanonicalFormulaKey(query));
   obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
   HTL_ASSIGN_OR_RETURN(
@@ -405,8 +376,7 @@ Result<SegmentRetrieval> Retriever::RunSegmentQueryCold(
       // Before any budget or span: a pruned video is skipped outright. A
       // bound failure (e.g. the injected engine.bound_compute fault) falls
       // through to full evaluation — pruning only ever gets weaker.
-      Result<double> ub =
-          BoundForVideo(query, v, store_->Video(v), level, store_->epoch());
+      Result<double> ub = BoundForVideo(query, v, level);
       if (ub.ok() && ub.value() < floor.Get() - kBoundSlack) {
         ++part.report.videos_pruned;
         part.report.pruned_videos.push_back(v);

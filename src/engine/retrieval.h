@@ -12,7 +12,6 @@
 #include "engine/query_options.h"
 #include "htl/ast.h"
 #include "model/video.h"
-#include "model/video_stats.h"
 #include "obs/profile.h"
 #include "sim/topk.h"
 #include "util/mutex.h"
@@ -108,24 +107,22 @@ struct SegmentRetrieval {
 /// tests/property/prune_differential_test.cc — see DESIGN.md "Scale-out
 /// retrieval".
 ///
-/// The retriever keeps one DirectEngine per video, so atomic picture
-/// queries and value tables are cached *across* queries. Each per-video
-/// engine records the store epoch it was built at and is rebuilt on first
-/// use after a mutation (MetadataStore::epoch()), so mutating the store
-/// *between* queries is safe; mutations must still be serialized against
-/// in-flight queries by the caller. Concurrent queries against one
-/// Retriever are safe: the engine cache is mutex-guarded per video
-/// (distinct videos never contend, so one query's parallel chunks run
-/// lock-free).
+/// The retriever keeps one DirectEngine per video, built on the video's
+/// first evaluation, so atomic picture queries and value tables are cached
+/// *across* queries. The store is append-only (MetadataStore), so an engine
+/// never goes stale; appends must still be serialized against in-flight
+/// queries by the caller. Concurrent queries against one Retriever are
+/// safe: the engine cache is mutex-guarded per video (distinct videos never
+/// contend, so one query's parallel chunks run lock-free).
 ///
 /// Caching (QueryOptions::cache_mode, default off): with caching enabled
 /// the retriever owns a whole-query result cache (keyed by the level spec,
 /// k, and the canonical query fingerprint; the options need no key part, as
-/// each cache belongs to one retriever, whose options never change). Hits
-/// are bit-identical to cold recomputation at the same store epoch; entries
-/// from older epochs are lazily evicted; concurrent identical queries
-/// single-flight (one computes, the rest wait). See DESIGN.md "Result
-/// caching".
+/// each cache belongs to one retriever, whose options never change). Each
+/// entry is stamped with the store's video count; hits are bit-identical to
+/// cold recomputation over the same store, and entries computed before an
+/// append are lazily evicted; concurrent identical queries single-flight
+/// (one computes, the rest wait). See DESIGN.md "Result caching".
 class Retriever {
  public:
   /// `store` must outlive the retriever.
@@ -200,13 +197,10 @@ class Retriever {
   /// One cached per-video engine slot. `mu` serializes queries touching
   /// the same video (the engine's exec-context slot is per-evaluation
   /// state); distinct videos never share an entry, so one parallel query's
-  /// chunks take no contended lock. The engine itself is built lazily and
-  /// rebuilt when the store epoch moves (its VideoTree pointer and caches
-  /// are only valid for the epoch it was built at).
+  /// chunks take no contended lock. The engine is built on first use.
   struct VideoEngine {
     Mutex mu;
     std::unique_ptr<DirectEngine> engine HTL_GUARDED_BY(mu);
-    uint64_t built_epoch HTL_GUARDED_BY(mu) = 0;
   };
 
   /// The cached per-video engine slot (created on first use).
@@ -215,32 +209,13 @@ class Retriever {
   /// insertions.
   VideoEngine& EngineFor(MetadataStore::VideoId video);
 
-  /// The slot's engine, (re)built for `epoch` if absent or stale. Requires
-  /// the slot's `mu` to be held.
-  DirectEngine& EngineLocked(VideoEngine& slot, MetadataStore::VideoId video,
-                             uint64_t epoch) HTL_REQUIRES(slot.mu);
-
-  /// One cached per-video statistics slot (bound-based pruning). Stats are
-  /// immutable once built; the shared_ptr is copied out under the slot lock
-  /// and used lock-free. Rebuilt lazily when the store epoch moves, like
-  /// VideoEngine.
-  struct VideoStatsSlot {
-    Mutex mu;
-    std::shared_ptr<const VideoStats> stats HTL_GUARDED_BY(mu);
-    uint64_t built_epoch HTL_GUARDED_BY(mu) = 0;
-  };
-
-  /// The per-video stats, (re)built at `epoch` if absent or stale.
-  std::shared_ptr<const VideoStats> StatsFor(MetadataStore::VideoId video,
-                                             const VideoTree& tree, uint64_t epoch);
-
   /// Upper bound on the fractional similarity `query` can reach anywhere in
-  /// `video` at `level` (htl/bound.h over cached VideoStats). Carries the
-  /// "engine.bound_compute" fault point: an injected error returns non-ok
-  /// and the caller falls back to full evaluation — pruning degrades, never
-  /// the result.
+  /// `video` at `level` (htl/bound.h over the store's VideoStats). Carries
+  /// the "engine.bound_compute" fault point: an injected error returns
+  /// non-ok and the caller falls back to full evaluation — pruning
+  /// degrades, never the result.
   Result<double> BoundForVideo(const Formula& query, MetadataStore::VideoId video,
-                               const VideoTree& tree, int level, uint64_t epoch);
+                               int level);
 
   /// Worker count this query should use: options_.parallelism, with 0
   /// meaning ThreadPool::DefaultParallelism(), capped at the video count.
@@ -271,9 +246,6 @@ class Retriever {
   Mutex engines_mu_;  // Guards engines_ (map shape only; slots guard themselves).
   std::map<MetadataStore::VideoId, std::unique_ptr<VideoEngine>> engines_
       HTL_GUARDED_BY(engines_mu_);
-  Mutex stats_mu_;  // Guards stats_ (map shape only; slots guard themselves).
-  std::map<MetadataStore::VideoId, std::unique_ptr<VideoStatsSlot>> stats_
-      HTL_GUARDED_BY(stats_mu_);
   std::unique_ptr<QueryCaches> caches_;  // Null when cache_mode == kOff.
 };
 

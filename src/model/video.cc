@@ -171,22 +171,19 @@ Status VideoTree::CheckInvariants() const {
 }
 
 MetadataStore::VideoId MetadataStore::AddVideo(VideoTree video) {
-  videos_.push_back(std::move(video));
-  BumpEpoch();
-  return static_cast<VideoId>(videos_.size());
+  VideoStats stats = VideoStats::Build(video);
+  videos_.push_back(Record{std::move(video), std::move(stats)});
+  return num_videos();
 }
 
-const VideoTree& MetadataStore::Video(VideoId id) const {
+const MetadataStore::Record& MetadataStore::At(VideoId id) const {
   HTL_CHECK_GE(id, 1);
   HTL_CHECK_LE(id, num_videos());
   return videos_[static_cast<size_t>(id - 1)];
 }
 
-VideoTree& MetadataStore::MutableVideo(VideoId id) {
-  HTL_CHECK_GE(id, 1);
-  HTL_CHECK_LE(id, num_videos());
-  BumpEpoch();
-  return videos_[static_cast<size_t>(id - 1)];
-}
+const VideoTree& MetadataStore::Video(VideoId id) const { return At(id).tree; }
+
+const VideoStats& MetadataStore::Stats(VideoId id) const { return At(id).stats; }
 
 }  // namespace htl

@@ -1,13 +1,14 @@
 #ifndef HTL_MODEL_VIDEO_H_
 #define HTL_MODEL_VIDEO_H_
 
-#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "model/segment.h"
+#include "model/video_stats.h"
 #include "util/interval.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -105,61 +106,43 @@ class VideoTree {
 /// "meta-data database" of figure 1. Retrieval runs per video and merges
 /// results across videos for global top-k.
 ///
+/// Append-only: the analyzer produces each video's meta-data once, and
+/// retrieval only reads it. A video never changes after AddVideo, and the
+/// videos live in a deque, so an append moves no earlier video: references
+/// from Video() and Stats() stay valid for the store's lifetime. Anything
+/// derived from one video alone (its engine, its index statistics) is
+/// therefore never invalidated; only answers over the whole store change
+/// with an append, and num_videos() identifies which store they were
+/// computed over.
+///
 /// Lock discipline (DESIGN.md): the store holds no Mutex capability by
-/// design. Concurrent *queries* only read `videos_` and the atomic epoch;
-/// *mutations* (AddVideo / MutableVideo / BumpEpoch) must be externally
-/// serialized against in-flight queries by the caller, and the epoch is
-/// what lets caches detect that serialization point after the fact. The
-/// streaming-ingest work (ROADMAP item 4) is where per-video htl::Mutex
-/// state lands — born annotated, per the no-raw-mutex ground rule.
+/// design. Concurrent queries only read; AddVideo must be externally
+/// serialized against in-flight queries by the caller.
 class MetadataStore {
  public:
   using VideoId = int64_t;
 
-  MetadataStore() = default;
-  // The epoch cell is atomic, so copies and moves (test fixtures return
-  // stores by value) are spelled out; they transfer the epoch *value*.
-  MetadataStore(const MetadataStore& other)
-      : videos_(other.videos_), epoch_(other.epoch()) {}
-  MetadataStore(MetadataStore&& other) noexcept
-      : videos_(std::move(other.videos_)), epoch_(other.epoch()) {}
-  MetadataStore& operator=(const MetadataStore& other) {
-    videos_ = other.videos_;
-    epoch_.store(other.epoch(), std::memory_order_release);
-    return *this;
-  }
-  MetadataStore& operator=(MetadataStore&& other) noexcept {
-    videos_ = std::move(other.videos_);
-    epoch_.store(other.epoch(), std::memory_order_release);
-    return *this;
-  }
-
-  /// Adds a video and returns its id (ids start at 1). Bumps the epoch.
+  /// Adds a video, builds its VideoStats, and returns its id (ids start
+  /// at 1).
   VideoId AddVideo(VideoTree video);
 
   int64_t num_videos() const { return static_cast<int64_t>(videos_.size()); }
 
   /// Video by id; checks bounds.
   const VideoTree& Video(VideoId id) const;
-  /// Mutable access; handing out the reference counts as a mutation and
-  /// bumps the epoch (conservative — callers take it in order to write).
-  VideoTree& MutableVideo(VideoId id);
 
-  /// The store's mutation generation. Every mutation (AddVideo,
-  /// MutableVideo, BumpEpoch) advances it; caches stamp entries with the
-  /// epoch they were computed at and lazily evict entries whose stamp
-  /// fell behind (DESIGN.md "Result caching"). Mutations must still be
-  /// externally serialized against in-flight queries; the epoch makes
-  /// cached state safe *across* that serialization point.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
-
-  /// Manually invalidates all cached state derived from this store (e.g.
-  /// after writing through a previously obtained MutableVideo reference).
-  void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_acq_rel); }
+  /// The video's index statistics, built once by AddVideo; checks bounds.
+  const VideoStats& Stats(VideoId id) const;
 
  private:
-  std::vector<VideoTree> videos_;
-  std::atomic<uint64_t> epoch_{0};
+  struct Record {
+    VideoTree tree;
+    VideoStats stats;
+  };
+
+  const Record& At(VideoId id) const;
+
+  std::deque<Record> videos_;
 };
 
 }  // namespace htl

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "model/video.h"
+
 namespace htl {
 
 void VideoStats::AddValue(AttrDomain& domain, const AttrValue& value) {

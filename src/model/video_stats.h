@@ -6,9 +6,11 @@
 #include <string>
 #include <vector>
 
-#include "model/video.h"
+#include "model/value.h"
 
 namespace htl {
+
+class VideoTree;
 
 /// Per-video, per-level index statistics backing bound-based top-k pruning
 /// (DESIGN.md "Scale-out retrieval"): one linear scan over a video's
@@ -16,9 +18,9 @@ namespace htl {
 /// score at all — whether any object appears, which predicate names/arities
 /// are recorded, and the value domains of segment and object attributes.
 /// The bound walker (htl/bound.h) combines these over the formula tree into
-/// a sound upper bound on the attainable fractional similarity; the
-/// retriever caches one VideoStats per video, stamped with the store epoch
-/// it was built at (like its per-video engines).
+/// a sound upper bound on the attainable fractional similarity.
+/// MetadataStore::AddVideo builds one VideoStats per video, and a video
+/// never changes once added, so the summary never goes stale.
 ///
 /// Soundness contract: every query here over-approximates. If
 /// CompareSatisfiable / HasFact / HasObjects returns false, no segment at

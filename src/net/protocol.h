@@ -69,7 +69,7 @@ struct QueryRequest {
   int64_t deadline_ms = 0;
 
   /// Serve from / fill the server's result cache (the server keeps a
-  /// cached and an uncached Retriever; both are bit-identical per epoch).
+  /// cached and an uncached Retriever; both answer bit-identically).
   bool use_cache = false;
 
   /// Worker count for per-video parallel evaluation: 0 = server default,

@@ -181,6 +181,7 @@ void QueryServer::AcceptLoop() {
         in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1;
     if (admitted > options_.hard_watermark ||
         stopping_.load(std::memory_order_acquire)) {
+      const WallTimer total;
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       rejected_->Increment();
       // Refuse explicitly: drain whatever request bytes already arrived
@@ -188,10 +189,15 @@ void QueryServer::AcceptLoop() {
       // close. The accept loop never blocks on this peer — DrainPending
       // does not wait and the response write has a short deadline.
       DrainPending(*conn, options_.max_frame_bytes);
-      WriteResponseBestEffort(*conn, OverloadedResponse(
+      const QueryResponse refusal = OverloadedResponse(
           stopping_.load(std::memory_order_acquire)
               ? "server draining"
-              : "overloaded: in-flight limit reached"));
+              : "overloaded: in-flight limit reached");
+      WriteResponseBestEffort(*conn, refusal);
+      obs::QueryLogRecord record;
+      record.kind = 0xFF;  // Refused before any request was decoded.
+      record.wire_status = static_cast<uint8_t>(refusal.status);
+      RecordWideEvent(std::move(record), obs::QueryProfile{}, total);
       continue;
     }
 
@@ -249,11 +255,8 @@ void QueryServer::ServeOneRequest(uint64_t session_id, const Socket& socket) {
   const WallTimer total;
   ServeRequestOnSocket(session_id, socket, &record, &profile);
   // Every exit of the exchange — answered, refused, or dropped — lands one
-  // wide event and one total-latency observation (the tools/lint.py
-  // net-wide-event rule pins this invariant).
-  record.total_us = total.ElapsedMicros();
-  latency_us_->Observe(record.total_us);
-  RecordWideEvent(std::move(record), std::move(profile));
+  // wide event and one total-latency observation.
+  RecordWideEvent(std::move(record), std::move(profile), total);
 }
 
 void QueryServer::ServeRequestOnSocket(uint64_t session_id,
@@ -431,7 +434,10 @@ void QueryServer::ServeRequestOnSocket(uint64_t session_id,
 }
 
 void QueryServer::RecordWideEvent(obs::QueryLogRecord record,
-                                  obs::QueryProfile profile) {
+                                  obs::QueryProfile profile,
+                                  const WallTimer& total) {
+  record.total_us = total.ElapsedMicros();
+  latency_us_->Observe(record.total_us);
   if (!profile.empty()) {
     if (const obs::QueryProfile::Node* classify =
             profile.Find("stage.classify")) {

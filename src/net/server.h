@@ -22,6 +22,7 @@
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace htl::net {
 
@@ -148,13 +149,13 @@ struct ServerOptions {
 /// wide-event slowlog, and Chrome-trace export of retained profiles — and
 /// is exempt from admission control by construction. Every request lands
 /// one obs::QueryLogRecord in the server's QueryLog whatever its outcome
-/// (including undecodable frames), and a stall watchdog on the admin loop
-/// flags sessions that outlive every legitimate deadline.
+/// (including undecodable frames and refusals), and a stall watchdog on the
+/// admin loop flags sessions that outlive every legitimate deadline.
 ///
 /// Thread model: Start() spawns the accept loop and session workers on an
 /// internal ThreadPool; all public methods are safe from any thread.
-/// `store` must outlive the server and must not be mutated while the
-/// server runs (the Retriever contract).
+/// `store` must outlive the server, and appends to it must not overlap
+/// in-flight requests (the Retriever contract).
 class QueryServer {
  public:
   QueryServer(const MetadataStore* store, ServerOptions options);
@@ -227,9 +228,12 @@ class QueryServer {
                             obs::QueryLogRecord* record,
                             obs::QueryProfile* profile);
 
-  /// Derives the trace-dependent wide-event fields (formula class, cache
-  /// hit, rows/tables) from `profile`, then records both into query_log_.
-  void RecordWideEvent(obs::QueryLogRecord record, obs::QueryProfile profile);
+  /// Lands one request's wide event, whatever its outcome: stamps
+  /// total_us from `total` and observes it in net.request.latency_us,
+  /// derives the trace-dependent fields (formula class, cache hit,
+  /// rows/tables) from `profile`, then records both into query_log_.
+  void RecordWideEvent(obs::QueryLogRecord record, obs::QueryProfile profile,
+                       const WallTimer& total);
 
   /// Evaluates one decoded request under `ctx`. With trace_requests (or
   /// kFlagWantProfile) the profiled entry points run and the trace lands in

@@ -38,7 +38,7 @@ struct QueryLogRecord {
   int64_t decode_us = 0;      // Read + decode the request frame.
   int64_t execute_us = 0;     // Engine evaluation.
   int64_t encode_us = 0;      // Encode + write the response frame.
-  int64_t total_us = 0;       // Whole ServeOneRequest, accept to last byte.
+  int64_t total_us = 0;       // Whole exchange, accept to last byte.
   int64_t rows = 0;           // Rows charged, summed over per-video spans.
   int64_t tables = 0;         // Tables charged, summed over per-video spans.
   int64_t videos_evaluated = 0;

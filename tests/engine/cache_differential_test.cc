@@ -1,9 +1,8 @@
 // The caching determinism contract: with cache_mode on, every hit is
 // *bit-identical* to what a cold (cache-off) retriever computes on the same
 // store — across all four formula classes of section 3, repeated queries,
-// interleaved store mutations (epoch bumps), worker counts, and eviction
-// pressure from tiny byte budgets. The cache may only change latency, never
-// a single output bit.
+// interleaved appends, worker counts, and eviction pressure from tiny byte
+// budgets. The cache may only change latency, never a single output bit.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/direct_engine.h"
 #include "engine/query_cache.h"
 #include "engine/retrieval.h"
 #include "htl/classifier.h"
@@ -42,6 +42,11 @@ const ClassedQuery kQueries[] = {
      FormulaClass::kConjunctive},
     {"exists x (type(x) = 'horse') and at-next-level(exists y (moving(y)))",
      FormulaClass::kExtendedConjunctive},
+};
+
+struct ScopedMetrics {
+  ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(true); }
+  ~ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(false); }
 };
 
 void ExpectSameSegmentResults(const SegmentRetrieval& want,
@@ -150,45 +155,71 @@ TEST_F(CacheDifferentialTest, LevelOneWarmHitsMatchCold) {
   EXPECT_GT(cached.caches()->result_stats().hits, 0);
 }
 
-// Store mutations interleaved with queries: every AddVideo / MutableVideo
-// bumps the epoch, so the warm cache must never serve a pre-mutation
-// answer — each post-mutation query matches a from-scratch cold retriever
-// on the mutated store.
+// Appends interleaved with queries: every append changes the store's
+// video count, which stamps the result cache's entries, so the warm cache
+// must never serve a pre-append answer — each post-append query matches a
+// from-scratch cold retriever on the grown store.
 TEST_F(CacheDifferentialTest, MutationsInvalidateWarmEntries) {
   Retriever cached = MakeCached();
   ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(kQueries[1].text));
   Rng rng(7);
   for (int round = 0; round < 4; ++round) {
     SCOPED_TRACE(round);
-    // Warm (twice: the second run is a genuine hit at the current epoch).
+    // Warm (twice: the second run is a genuine hit on the current store).
     SegmentRetrieval want = ColdAnswer(*f, 2);
     for (int run = 0; run < 2; ++run) {
       ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
                            cached.TopSegmentsWithReport(*f, 2, 10));
-      ExpectSameSegmentResults(want, got, "pre-mutation run " + std::to_string(run));
+      ExpectSameSegmentResults(want, got, "pre-append run " + std::to_string(run));
     }
-    // Mutate: grow the store on even rounds, rewrite an existing video in
-    // place on odd ones (both bump the epoch; the second also invalidates
-    // the engines' VideoTree pointers).
     VideoGenOptions vopts;
     vopts.levels = 3;
     vopts.min_branching = 2;
     vopts.max_branching = 4;
-    if (round % 2 == 0) {
-      store_.AddVideo(GenerateVideo(rng, vopts));
-    } else {
-      store_.MutableVideo(1 + round % store_.num_videos()) =
-          GenerateVideo(rng, vopts);
-    }
+    store_.AddVideo(GenerateVideo(rng, vopts));
     SegmentRetrieval after = ColdAnswer(*f, 2);
     ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
                          cached.TopSegmentsWithReport(*f, 2, 10));
-    ExpectSameSegmentResults(after, got, "post-mutation");
+    ExpectSameSegmentResults(after, got, "post-append");
   }
-  // The post-mutation lookups found the warm-but-stale entries and evicted
+  // The post-append lookups found the warm-but-stale entries and evicted
   // them instead of serving them.
   EXPECT_GT(cached.caches()->result_stats().stale, 0)
       << cached.caches()->result_stats().ToString();
+}
+
+// An append changes no earlier video, so it invalidates only the result
+// cache: the re-run evicts the stale entry and recomputes over the warm
+// engines, which issue picture queries for the appended video alone.
+TEST_F(CacheDifferentialTest, AppendQueriesPicturesOfTheAppendedVideoOnly) {
+  ScopedMetrics metrics;
+  obs::Counter* atomic_queries =
+      obs::MetricsRegistry::Instance().GetCounter("engine.atomic_queries");
+  Retriever cached = MakeCached();
+  ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(kQueries[1].text));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval warm, cached.TopSegmentsWithReport(*f, 2, 10));
+  ASSERT_TRUE(warm.report.complete()) << warm.report.ToString();
+
+  Rng rng(11);
+  VideoGenOptions vopts;
+  vopts.levels = 3;
+  vopts.min_branching = 2;
+  vopts.max_branching = 4;
+  const MetadataStore::VideoId appended = store_.AddVideo(GenerateVideo(rng, vopts));
+  // The appended video's atoms, counted on an engine of its own.
+  int64_t before = atomic_queries->Value();
+  DirectEngine own(&store_.Video(appended));
+  ASSERT_OK(own.EvaluateList(2, *f).status());
+  const int64_t appended_atoms = atomic_queries->Value() - before;
+  ASSERT_GT(appended_atoms, 0);
+
+  const int64_t stale_before = cached.caches()->result_stats().stale;
+  before = atomic_queries->Value();
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval got, cached.TopSegmentsWithReport(*f, 2, 10));
+  EXPECT_EQ(atomic_queries->Value() - before, appended_atoms);
+  EXPECT_EQ(cached.caches()->result_stats().stale, stale_before + 1)
+      << cached.caches()->result_stats().ToString();
+  ExpectSameSegmentResults(ColdAnswer(*f, 2), got, "after append");
 }
 
 // The caching layers compose with parallel execution: for worker counts 1,
@@ -276,10 +307,7 @@ TEST_F(CacheDifferentialTest, CommutativeOperandOrderSharesOneEntry) {
 // process metrics registry one for one: an operator scraping
 // `cache.result.*` sees exactly what result_stats() counts.
 TEST_F(CacheDifferentialTest, ResultCacheCountersReachTheRegistry) {
-  struct ScopedMetrics {
-    ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(true); }
-    ~ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(false); }
-  } metrics;
+  ScopedMetrics metrics;
   const char* kOutcomes[] = {"hits", "misses", "stale", "fills", "evictions"};
   std::vector<obs::Counter*> counters;
   std::vector<int64_t> before;
@@ -310,7 +338,7 @@ TEST_F(CacheDifferentialTest, ResultCacheCountersReachTheRegistry) {
 
   ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Miss, fill.
   ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Hit.
-  store_.BumpEpoch();
+  store_.AddVideo(VideoTree::Flat(1));
   ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Stale, fill.
   for (size_t i = 1; i < formulas.size(); ++i) {  // Miss, fill, evict.
     ASSERT_OK(cached.TopSegmentsWithReport(*formulas[i], 2, 1).status());

@@ -1,7 +1,7 @@
 // Golden snapshots of QueryProfile::ToText() for the three cache-lookup
 // outcomes on the Casablanca workload: a cold miss (lookup + execute +
-// fill), a warm hit (lookup short-circuits the whole execute stage), and an
-// invalidated-epoch lookup (the stale entry is evicted and the query
+// fill), a warm hit (lookup short-circuits the whole execute stage), and a
+// lookup after an append (the stale entry is evicted and the query
 // recomputes and refills). Timings are normalized away; everything else —
 // span structure, units, row/interval/table counts, cache notes — is pinned
 // byte for byte.
@@ -84,9 +84,11 @@ TEST(GoldenProfileTest, MissHitAndStaleLookupProfiles) {
     EXPECT_EQ(hit.hits[i].sim, miss.hits[i].sim);
   }
 
-  // Invalidated: the store mutated since the fill, so the warm entry is
-  // stale — lazily evicted, recomputed, refilled at the new epoch.
-  store.BumpEpoch();
+  // Invalidated: a video was appended since the fill, so the warm entry is
+  // stale — lazily evicted, recomputed and refilled. Casablanca's engine
+  // keeps its atomic tables; the appended empty video has no hits, so the
+  // ranking is unchanged.
+  store.AddVideo(VideoTree::Flat(1));
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval stale, r.TopSegmentsProfiled(*query, 2, 8));
   CompareToGolden("profile_cache_stale.txt", stale.report.profile.ToText());
   for (size_t i = 0; i < stale.hits.size(); ++i) {

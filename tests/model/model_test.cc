@@ -4,6 +4,7 @@
 #include "model/value.h"
 #include "model/video.h"
 #include "model/video_builder.h"
+#include "model/video_stats.h"
 #include "testing/helpers.h"
 
 namespace htl {
@@ -204,14 +205,33 @@ TEST(VideoBuilderTest, SiblingOrderPreserved) {
 TEST(MetadataStoreTest, AddAndFetchVideos) {
   MetadataStore store;
   EXPECT_EQ(store.num_videos(), 0);
-  auto id1 = store.AddVideo(VideoTree::Flat(3));
+  VideoTree titled = VideoTree::Flat(3);
+  titled.MutableMeta(1, 1).SetAttribute("title", AttrValue("A"));
+  auto id1 = store.AddVideo(std::move(titled));
   auto id2 = store.AddVideo(VideoTree::Flat(7));
   EXPECT_EQ(id1, 1);
   EXPECT_EQ(id2, 2);
   EXPECT_EQ(store.Video(1).NumSegments(2), 3);
   EXPECT_EQ(store.Video(2).NumSegments(2), 7);
-  store.MutableVideo(1).MutableMeta(1, 1).SetAttribute("title", AttrValue("A"));
   EXPECT_EQ(store.Video(1).Title(), "A");
+}
+
+// Engines and bounds hold references into the store across appends, so an
+// append must move no earlier video and no earlier VideoStats.
+TEST(MetadataStoreTest, AppendsMoveNoVideoAndNoStats) {
+  MetadataStore store;
+  VideoTree first = VideoTree::Flat(3);
+  first.MutableMeta(2, 2).SetAttribute("type", AttrValue("western"));
+  store.AddVideo(std::move(first));
+  const VideoTree* video = &store.Video(1);
+  const VideoStats* stats = &store.Stats(1);
+  for (int i = 0; i < 1000; ++i) store.AddVideo(VideoTree::Flat(1));
+  EXPECT_EQ(store.num_videos(), 1001);
+  EXPECT_EQ(&store.Video(1), video);
+  EXPECT_EQ(&store.Stats(1), stats);
+  // Each video's stats summarize that video: only the first has a type.
+  EXPECT_NE(store.Stats(1).Domain(2, VideoStats::Scope::kSegment, "type"), nullptr);
+  EXPECT_EQ(store.Stats(1001).Domain(2, VideoStats::Scope::kSegment, "type"), nullptr);
 }
 
 }  // namespace

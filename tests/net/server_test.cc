@@ -21,6 +21,7 @@
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "sim/sim_list.h"
 #include "testing/helpers.h"
 #include "util/fault_point.h"
@@ -432,6 +433,106 @@ TEST_F(ServerTest, HardWatermarkRefusesWithOverloaded) {
   EXPECT_EQ(response.status, WireStatus::kWireOverloaded)
       << response.message;
   EXPECT_FALSE(response.message.empty());
+}
+
+// Every exit of a request lands exactly one wide event and one
+// net.request.latency_us observation: answered, shed to degraded, refused at
+// the hard watermark, failed on an expired deadline, and undecodable. The
+// parked sessions stay open until the end, so they record nothing meanwhile.
+TEST_F(ServerTest, EveryExitLandsOneWideEventAndOneLatencyObservation) {
+  ServerOptions options;
+  options.worker_threads = 4;
+  options.soft_watermark = 1;
+  options.hard_watermark = 2;
+  options.read_timeout_ms = 10'000;  // Keep the parked sessions parked.
+  options.default_deadline_ms = 0;   // A request relying on it has expired.
+  StartServer(options);
+  const obs::Histogram* latency = obs::MetricsRegistry::Instance().GetHistogram(
+      "net.request.latency_us", {});
+  const auto await = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // Before the next exit, wait for the last session to leave, so an
+  // admission never counts it.
+  const auto settle = [&](int64_t parked) {
+    await([&] { return server_->in_flight() == parked; });
+    ASSERT_EQ(server_->in_flight(), parked);
+  };
+  uint64_t records = 0;
+  const int64_t observed = latency->Snap().count;
+  // The exit just taken landed one new record, carrying the status the
+  // client received, and one latency observation. The response can reach
+  // the client before the server records it.
+  const auto expect_one_event = [&](WireStatus status, bool degraded,
+                                    bool decoded) {
+    ++records;
+    await([&] { return server_->query_log().total_recorded() >= records; });
+    EXPECT_EQ(server_->query_log().total_recorded(), records);
+    EXPECT_EQ(latency->Snap().count - observed, static_cast<int64_t>(records));
+    const auto tail = server_->query_log().Tail(1);
+    ASSERT_EQ(tail.size(), 1u);
+    EXPECT_EQ(tail[0].record.wire_status, static_cast<uint8_t>(status));
+    EXPECT_EQ(tail[0].record.degraded, degraded);
+    EXPECT_EQ(tail[0].record.kind != 0xFF, decoded);
+  };
+
+  QueryRequest request;
+  request.level = kLevel;
+  request.query_text = kQuery;
+  request.deadline_ms = 30'000;
+  {
+    SCOPED_TRACE("ok");
+    ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().QueryOnce(request));
+    ASSERT_TRUE(response.ok()) << response.message;
+    ASSERT_FALSE(response.degraded());
+    expect_one_event(WireStatus::kWireOk, false, true);
+    settle(0);
+  }
+  {
+    SCOPED_TRACE("expired deadline");
+    QueryRequest expired = request;
+    expired.deadline_ms = 0;  // The server default, which has expired.
+    ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().QueryOnce(expired));
+    ASSERT_EQ(response.status, WireStatus::kWireDeadlineExceeded) << response.message;
+    expect_one_event(response.status, false, true);
+    settle(0);
+  }
+  {
+    SCOPED_TRACE("undecodable");
+    ASSERT_OK_AND_ASSIGN(const std::string framed,
+                         FrameMessage("not a request", kDefaultMaxFrameBytes));
+    ASSERT_OK_AND_ASSIGN(QueryResponse response, RawExchange(framed));
+    ASSERT_FALSE(response.ok());
+    expect_one_event(response.status, false, false);
+    settle(0);
+  }
+  ASSERT_OK_AND_ASSIGN(const Socket idle1, OpenIdleConnection());
+  AwaitInFlight(1);
+  {
+    SCOPED_TRACE("degraded");
+    ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().QueryOnce(request));
+    ASSERT_TRUE(response.ok()) << response.message;
+    ASSERT_TRUE(response.degraded());
+    expect_one_event(WireStatus::kWireOk, true, true);
+    settle(1);
+  }
+  ASSERT_OK_AND_ASSIGN(const Socket idle2, OpenIdleConnection());
+  AwaitInFlight(2);
+  {
+    SCOPED_TRACE("refused");
+    ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().QueryOnce(request));
+    ASSERT_EQ(response.status, WireStatus::kWireOverloaded) << response.message;
+    expect_one_event(WireStatus::kWireOverloaded, false, false);
+    settle(2);
+  }
+  // No exit recorded twice, even late.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server_->query_log().total_recorded(), 5u);
+  EXPECT_EQ(latency->Snap().count - observed, 5);
 }
 
 TEST_F(ServerTest, NetSessionFaultBecomesWellFormedErrorResponse) {

@@ -1,10 +1,10 @@
 // Randomized concurrent stress over one shared caching Retriever: query
 // threads hammer a deliberately tiny cache (constant eviction) while a
-// mutator thread grows and rewrites the store (epoch bumps) and siblings
-// race cancellations. Store mutations hold a writer lock — the store's
-// documented contract is that mutations are serialized against in-flight
-// queries; the epoch protects cached state *across* that point, not racing
-// writes. The oracle is twofold: TSan (this suite runs under the tsan CI
+// mutator thread appends to the store and siblings race cancellations.
+// Appends hold a writer lock — the store's documented contract is that
+// appends are serialized against in-flight queries; the video-count stamp
+// protects cached answers *across* that point, not racing writes. The
+// oracle is twofold: TSan (this suite runs under the tsan CI
 // preset) and cold-cache recomputation spot-checks — a sampled query's
 // answer is recomputed on a throwaway cache-off retriever under the same
 // reader lock and must match bit for bit.
@@ -83,8 +83,8 @@ TEST(CacheStressTest, RandomizedQueriesMutationsAndCancels) {
     queries.push_back(std::move(q).value());
   }
 
-  // Readers = queries, writer = mutations (the store's serialization
-  // contract); the epoch then invalidates warm entries across writes.
+  // Readers = queries, writer = appends (the store's serialization
+  // contract); the grown video count then invalidates warm entries.
   std::shared_mutex store_mu;
   std::atomic<bool> stop_mutator{false};
   std::atomic<int> unsanctioned{0};
@@ -96,13 +96,7 @@ TEST(CacheStressTest, RandomizedQueriesMutationsAndCancels) {
     while (!stop_mutator.load(std::memory_order_relaxed)) {
       {
         std::unique_lock<std::shared_mutex> lock(store_mu);
-        if (rng.UniformInt(0, 1) == 0 && store.num_videos() < 12) {
-          store.AddVideo(GenerateVideo(rng, vopts));
-        } else {
-          const MetadataStore::VideoId victim =
-              1 + rng.UniformInt(0, store.num_videos() - 1);
-          store.MutableVideo(victim) = GenerateVideo(rng, vopts);
-        }
+        if (store.num_videos() < 16) store.AddVideo(GenerateVideo(rng, vopts));
       }
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }

@@ -125,16 +125,15 @@ TEST(ConcurrentStressTest, MixedQueriesAgainstOneRetrieverWithMetricsChurn) {
   EXPECT_TRUE(after.report.complete()) << after.report.ToString();
 }
 
-TEST(ConcurrentStressTest, ParallelPrunedRetrievalUnderFaultAndEpochChurn) {
+TEST(ConcurrentStressTest, ParallelPrunedRetrievalUnderFaultChurn) {
   // The scale-out path under fire: a parallel, pruning Retriever shared by
-  // racing query threads while a churn thread (a) arms and disarms the
-  // engine.bound_compute fault point mid-flight, (b) bumps the store epoch
-  // so the per-video VideoStats and engine caches rebuild under
-  // contention, and a sibling thread races Cancel() against some runs.
-  // TSan is the oracle for the shared prune floor (the CAS-max atomic),
-  // the stats cache's two-lock discipline, and the fault registry; in
-  // debug builds the HTL_DCHECK inside PruneFloor::Publish additionally
-  // asserts the floor never moves backwards.
+  // racing query threads while a churn thread arms and disarms the
+  // engine.bound_compute fault point mid-flight, and a sibling thread
+  // races Cancel() against some runs. TSan is the oracle for the shared
+  // prune floor (the CAS-max atomic), the per-video engine slots, and the
+  // fault registry; in debug builds the HTL_DCHECK inside
+  // PruneFloor::Publish additionally asserts the floor never moves
+  // backwards.
   FaultRegistry::Instance().DisableAll();
   MetadataStore store;
   Rng corpus_rng(515151);
@@ -172,8 +171,6 @@ TEST(ConcurrentStressTest, ParallelPrunedRetrievalUnderFaultAndEpochChurn) {
       FaultSpec spec;
       spec.probability = 0.3;
       FaultRegistry::Instance().Enable("engine.bound_compute", spec);
-      std::this_thread::yield();
-      store.BumpEpoch();  // Invalidate every cached engine and VideoStats.
       std::this_thread::yield();
       FaultRegistry::Instance().DisableAll();
       std::this_thread::yield();

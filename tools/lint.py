@@ -67,15 +67,6 @@ src/ layout conventions.
                     the drain path's cross-thread shutdown (DESIGN.md "Query
                     service"). An ad-hoc socket can block forever and is
                     invisible to graceful drain.
-  net-wide-event    Server request-path files (NET_WIDE_EVENT_FILES:
-                    src/net/server.cc) must land every request in the
-                    wide-event query log (RecordWideEvent / query_log_) and
-                    observe the request latency histogram: a server path that
-                    skips the wide event is invisible to the slowlog and to
-                    tools/htlstat.py (CONTRIBUTING.md ground rule). New server
-                    request paths belong on the list. File-scoped: suppress
-                    with `// htl-lint: allow(net-wide-event)` anywhere in the
-                    file.
   prune-differential
                     While the bound derivation (src/htl/bound.h) exists, its
                     proof obligations must exist with it: the differential
@@ -129,7 +120,6 @@ ALL_RULES = {
     "no-raw-thread",
     "no-raw-mutex",
     "no-raw-socket",
-    "net-wide-event",
     "prune-differential",
     "stale-suppression",
 }
@@ -461,36 +451,6 @@ def check_obs_operator_span(lint: FileLint, code: str) -> None:
             "their work, see CONTRIBUTING.md")
 
 
-# Server request-path files: every request must land one wide event in the
-# query log and one latency observation, whatever its outcome — the slowlog
-# and tools/htlstat.py are blind to paths that skip it. New server request
-# paths belong on this list (CONTRIBUTING.md ground rule).
-NET_WIDE_EVENT_FILES = {
-    "src/net/server.cc",
-}
-WIDE_EVENT_REF_RE = re.compile(r"\bRecordWideEvent\b")
-QUERY_LOG_REF_RE = re.compile(r"\bquery_log_\b")
-LATENCY_OBS_RE = re.compile(r"\blatency_us_\s*->\s*Observe\b")
-
-
-def check_net_wide_event(lint: FileLint, code: str) -> None:
-    if rel_posix(lint.path) not in NET_WIDE_EVENT_FILES:
-        return
-    missing = []
-    if not WIDE_EVENT_REF_RE.search(code):
-        missing.append("RecordWideEvent")
-    if not QUERY_LOG_REF_RE.search(code):
-        missing.append("query_log_")
-    if not LATENCY_OBS_RE.search(code):
-        missing.append("latency_us_->Observe")
-    if missing:
-        lint.hit_file_scoped(
-            "net-wide-event",
-            "server request path no longer lands wide events ("
-            + ", ".join(missing) + " missing); every request must record "
-            "into the query log and the latency histogram, see CONTRIBUTING.md")
-
-
 LOOP_RE = re.compile(r"\b(?:for|while)\s*\(")
 EXEC_REF_RE = re.compile(
     r"\b(?:ExecContext|DepthScope|HTL_CHECK_EXEC|ChargeRows|ChargeTable|exec_)\b")
@@ -653,7 +613,6 @@ def lint_file(path: Path) -> list[Finding]:
     check_exec_context_polling(lint, code)
     check_no_bare_timer(lint, code_lines)
     check_obs_operator_span(lint, code)
-    check_net_wide_event(lint, code)
     check_stale_suppressions(lint)
     return lint.findings
 
