@@ -86,8 +86,9 @@ int main() {
     const Formula& f = *prepared.value();
     // Warm-up pays the per-video atomic indexing once.
     {
-      auto warm = retriever.TopSegments(f, 2, 10);
+      auto warm = retriever.TopSegmentsWithReport(f, 2, 10);
       HTL_CHECK(warm.ok()) << warm.status().ToString();
+      HTL_CHECK_OK(warm->report.FirstFailure());
     }
     // One timed pass is kReps queries; `traced` attaches a fresh trace per
     // query (that is what a profiled query costs end to end). Arms are
@@ -100,15 +101,17 @@ int main() {
         if (attach_trace) {
           obs::QueryTrace trace;
           ctx->set_trace(&trace);
-          auto result = retriever.TopSegments(f, 2, 10, ctx);
+          auto result = retriever.TopSegmentsWithReport(f, 2, 10, ctx);
           ctx->set_trace(nullptr);
           HTL_CHECK(result.ok()) << result.status().ToString();
+          HTL_CHECK_OK(result->report.FirstFailure());
           // Include profile construction in the traced arm's cost.
           const obs::QueryProfile profile = trace.Finish();
           HTL_CHECK(!profile.empty());
         } else {
-          auto result = retriever.TopSegments(f, 2, 10, ctx);
+          auto result = retriever.TopSegmentsWithReport(f, 2, 10, ctx);
           HTL_CHECK(result.ok()) << result.status().ToString();
+          HTL_CHECK_OK(result->report.FirstFailure());
         }
       }
       return 1e3 * timer.ElapsedSeconds() / kReps;
@@ -119,8 +122,9 @@ int main() {
     auto time_querylog_arm = [&]() -> double {
       WallTimer timer;
       for (int r = 0; r < kReps; ++r) {
-        auto result = retriever.TopSegments(f, 2, 10, nullptr);
+        auto result = retriever.TopSegmentsWithReport(f, 2, 10, nullptr);
         HTL_CHECK(result.ok()) << result.status().ToString();
+        HTL_CHECK_OK(result->report.FirstFailure());
         obs::QueryLogRecord record;
         record.query = q;
         record.fingerprint = static_cast<uint64_t>(r) + 1;

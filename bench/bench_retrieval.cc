@@ -51,18 +51,21 @@ int main() {
       // indexing, which would otherwise be billed to the null-context arm.
       size_t hits = 0;
       {
-        auto result = retriever.TopSegments(*prepared.value(), 2, 10);
-        if (!result.ok()) {
-          std::printf("retrieval error: %s\n", result.status().ToString().c_str());
+        auto result = retriever.TopSegmentsWithReport(*prepared.value(), 2, 10);
+        const Status status =
+            result.ok() ? result->report.FirstFailure() : result.status();
+        if (!status.ok()) {
+          std::printf("retrieval error: %s\n", status.ToString().c_str());
           return 1;
         }
-        hits = result.value().size();
+        hits = result->hits.size();
       }
       auto time_arm = [&](ExecContext* ctx) -> double {
         WallTimer timer;
         for (int r = 0; r < kReps; ++r) {
-          auto result = retriever.TopSegments(*prepared.value(), 2, 10, ctx);
+          auto result = retriever.TopSegmentsWithReport(*prepared.value(), 2, 10, ctx);
           HTL_CHECK(result.ok()) << result.status().ToString();
+          HTL_CHECK_OK(result->report.FirstFailure());
         }
         return 1e3 * timer.ElapsedSeconds() / kReps;
       };
@@ -123,12 +126,13 @@ int main() {
         return 1;
       }
       // Warm the per-video engine caches so every level times steady state.
-      HTL_CHECK(retriever.TopSegments(*prepared.value(), 2, 10).ok());
+      HTL_CHECK_OK(retriever.TopSegmentsWithReport(*prepared.value(), 2, 10));
       constexpr int kReps = 20;
       WallTimer timer;
       for (int r = 0; r < kReps; ++r) {
-        auto result = retriever.TopSegments(*prepared.value(), 2, 10);
+        auto result = retriever.TopSegmentsWithReport(*prepared.value(), 2, 10);
         HTL_CHECK(result.ok()) << result.status().ToString();
+        HTL_CHECK_OK(result->report.FirstFailure());
       }
       const double ms = 1e3 * timer.ElapsedSeconds() / kReps;
       if (parallelism == 1) serial_ms = ms;

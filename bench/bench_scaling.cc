@@ -93,12 +93,14 @@ void RunParallelismSweep(bench::BenchJson& json) {
     Retriever retriever(&store, options);
     auto prepared = retriever.Prepare(query);
     HTL_CHECK(prepared.ok()) << prepared.status().ToString();
-    HTL_CHECK(retriever.TopSegments(*prepared.value(), 2, 10).ok());  // Warm caches.
+    // Warm caches.
+    HTL_CHECK_OK(retriever.TopSegmentsWithReport(*prepared.value(), 2, 10));
     constexpr int kReps = 20;
     WallTimer timer;
     for (int r = 0; r < kReps; ++r) {
-      auto result = retriever.TopSegments(*prepared.value(), 2, 10);
+      auto result = retriever.TopSegmentsWithReport(*prepared.value(), 2, 10);
       HTL_CHECK(result.ok()) << result.status().ToString();
+      HTL_CHECK_OK(result->report.FirstFailure());
     }
     const double ms = 1e3 * timer.ElapsedSeconds() / kReps;
     if (parallelism == 1) serial_ms = ms;

@@ -140,17 +140,18 @@ int main() {
     }
     std::printf("  class: %s\n",
                 std::string(FormulaClassName(Classify(*f.value()))).c_str());
-    auto hits = retriever.TopSegments(*f.value(), level, k);
-    if (!hits.ok()) {
-      std::printf("  %s\n", hits.status().ToString().c_str());
+    auto got = retriever.TopSegmentsWithReport(*f.value(), level, k);
+    const Status status = got.ok() ? got->report.FirstFailure() : got.status();
+    if (!status.ok()) {
+      std::printf("  %s\n", status.ToString().c_str());
       continue;
     }
-    if (hits.value().empty()) {
+    if (got->hits.empty()) {
       std::printf("  no matching segments\n");
       continue;
     }
     std::printf("  %-6s %-8s %-12s %s\n", "video", "segment", "similarity", "frac");
-    for (const SegmentHit& h : hits.value()) {
+    for (const SegmentHit& h : got->hits) {
       std::printf("  %-6lld %-8lld %-12.4f %.2f\n", static_cast<long long>(h.video),
                   static_cast<long long>(h.segment), h.sim.actual, h.sim.fraction());
     }

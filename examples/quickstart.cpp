@@ -59,21 +59,32 @@ int main() {
   std::printf("class:  %s\n",
               std::string(FormulaClassName(Classify(*prepared.value()))).c_str());
 
-  // 3. Retrieve the top 5 shots across the store.
-  auto hits = retriever.TopSegments(*prepared.value(), /*level=*/2, /*k=*/5);
-  if (!hits.ok()) {
-    std::printf("retrieval error: %s\n", hits.status().ToString().c_str());
+  // 3. Retrieve the top 5 shots across the store. A video that fails is
+  // skipped and reported; this program wants all or nothing.
+  auto shots = retriever.TopSegmentsWithReport(*prepared.value(), /*level=*/2, /*k=*/5);
+  const Status status = shots.ok() ? shots->report.FirstFailure() : shots.status();
+  if (!status.ok()) {
+    std::printf("retrieval error: %s\n", status.ToString().c_str());
     return 1;
   }
   std::printf("\n%-6s %-8s %-10s %s\n", "video", "segment", "similarity", "fraction");
-  for (const SegmentHit& hit : hits.value()) {
+  for (const SegmentHit& hit : shots->hits) {
     std::printf("%-6lld %-8lld %-10.3f %.0f%%\n", static_cast<long long>(hit.video),
                 static_cast<long long>(hit.segment), hit.sim.actual,
                 100 * hit.sim.fraction());
   }
 
   // 4. Browsing query at the whole-video level: level 1 holds only the root.
-  auto videos = retriever.TopSegments("type = 'western'", /*level=*/1, /*k=*/3);
-  std::printf("\nwesterns in the store: %zu\n", videos.value().size());
+  auto western = retriever.Prepare("type = 'western'");
+  if (!western.ok()) {
+    std::printf("query error: %s\n", western.status().ToString().c_str());
+    return 1;
+  }
+  auto videos = retriever.TopSegmentsWithReport(*western.value(), /*level=*/1, /*k=*/3);
+  if (!videos.ok()) {
+    std::printf("retrieval error: %s\n", videos.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("\nwesterns in the store: %zu\n", videos->hits.size());
   return 0;
 }

@@ -7,12 +7,11 @@
 
 namespace htl::cache {
 
-/// Sizing of one sharded cache. Capacity is counted in payload bytes (the
-/// cost the client declares per entry), split evenly across the shards;
-/// a shard evicts from its own LRU tail once its slice overflows.
+/// Sizing of one cache. Capacity is counted in payload bytes (the cost the
+/// client declares per entry); the cache evicts from its LRU tail once the
+/// total overflows.
 struct CacheConfig {
   int64_t capacity_bytes = 8 * 1024 * 1024;
-  int num_shards = 8;
 };
 
 /// Point-in-time counters of one cache. The live cells are relaxed atomics

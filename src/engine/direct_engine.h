@@ -51,8 +51,6 @@ class DirectEngine {
   /// This is the operation the paper's experiments time.
   Result<SimilarityList> EvaluateList(int level, const Formula& f);
 
-  PictureSystem& pictures() { return pictures_; }
-
   /// Attaches a deadline/cancellation/budget context polled at every
   /// evaluation node and charged for merged rows and materialized tables.
   /// Null (the default) disables all limits. The context must outlive the

@@ -91,13 +91,6 @@ class ExecContext {
     polls_since_clock_read_ = kDeadlinePollStride - 1;
   }
 
-  /// Sets an absolute monotonic deadline.
-  void SetDeadline(Clock::time_point deadline) {
-    has_deadline_ = true;
-    deadline_ = deadline;
-    polls_since_clock_read_ = kDeadlinePollStride - 1;
-  }
-
   /// Upper clamp for SetTimeoutMs: 24 hours. Anything longer is
   /// indistinguishable from "no deadline" for a query service, and bounding
   /// it here keeps the milliseconds -> nanoseconds conversion safely inside

@@ -19,8 +19,7 @@ int64_t CachedQueryResult::ByteSize() const {
 }
 
 QueryCaches::QueryCaches(const QueryOptions& options)
-    : results_(cache::CacheConfig{options.result_cache_bytes, options.cache_shards},
-               "result") {}
+    : results_(cache::CacheConfig{options.result_cache_bytes}, "result") {}
 
 bool QueryCaches::LookupFaulted() {
   // By hand rather than HTL_FAULT_POINT: the injected error must degrade

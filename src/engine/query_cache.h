@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "cache/cache_stats.h"
-#include "cache/sharded_cache.h"
+#include "cache/lru_cache.h"
 #include "engine/exec_context.h"
 #include "engine/query_options.h"
 #include "engine/retrieval.h"
@@ -59,7 +59,7 @@ class QueryCaches {
       span.SetNote(std::string(cache::LookupOutcomeName(found.outcome)));
       if (found.value != nullptr) return found.value;
     }
-    using ResultLru = cache::ShardedLruCache<CachedQueryResult>;
+    using ResultLru = cache::LruCache<CachedQueryResult>;
     return results_.GetOrCompute(
         key, epoch, ctx, [&]() -> Result<ResultLru::Fill> {
           HTL_ASSIGN_OR_RETURN(CachedQueryResult r, cold());
@@ -90,7 +90,7 @@ class QueryCaches {
   static bool LookupFaulted();
   static bool FillFaulted();
 
-  cache::ShardedLruCache<CachedQueryResult> results_;
+  cache::LruCache<CachedQueryResult> results_;
 };
 
 }  // namespace htl

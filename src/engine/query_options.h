@@ -63,9 +63,6 @@ struct QueryOptions {
   /// Byte capacity of the whole-query result cache.
   int64_t result_cache_bytes = 4 * 1024 * 1024;
 
-  /// Shard count of the result cache (values < 1 clamp to 1).
-  int cache_shards = 8;
-
   /// Bound-based top-k pruning (off by default): derive a cheap per-video
   /// upper bound on the attainable fractional similarity (htl/bound.h over
   /// VideoStats) and skip whole videos whose bound falls below the running

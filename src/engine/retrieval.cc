@@ -38,6 +38,11 @@ std::string RetrievalReport::ToString() const {
   return out;
 }
 
+Status RetrievalReport::FirstFailure() const {
+  if (complete()) return Status::OK();
+  return failures.front().status;
+}
+
 Retriever::Retriever(const MetadataStore* store, QueryOptions options)
     : store_(store), options_(options) {
   HTL_CHECK(store != nullptr);
@@ -136,13 +141,6 @@ void RankAndTrim(std::vector<SegmentHit>& all, int64_t k) {
     return a.segment < b.segment;
   });
   if (static_cast<int64_t>(all.size()) > k) all.resize(static_cast<size_t>(k));
-}
-
-// Strict wrapper semantics: an incomplete run surfaces its first per-video
-// error; deadline/cancel already propagated as the call's own status.
-Status FirstFailure(const RetrievalReport& report) {
-  if (report.complete()) return Status::OK();
-  return report.failures.front().status;
 }
 
 // Shared plumbing behind the *Profiled entry points: attach a fresh trace
@@ -332,46 +330,43 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers,
 
 }  // namespace
 
-template <typename LevelTag, typename ResolveLevel>
-Result<SegmentRetrieval> Retriever::RunSegmentQuery(const Formula& query, int64_t k,
-                                                    ExecContext* ctx,
-                                                    const LevelTag& level_tag,
-                                                    const ResolveLevel& resolve_level) {
-  // Checked once here, before the cache key and the loop exist: RankAndTrim
-  // cannot size a negative k, and k = 0 would evaluate every video to
-  // return nothing.
+Result<SegmentRetrieval> Retriever::TopSegmentsWithReport(const Formula& query,
+                                                          int level, int64_t k,
+                                                          ExecContext* ctx) {
+  // Both checked once here, before the cache key and the loop exist: level
+  // 0 would fail each video separately, RankAndTrim cannot size a negative
+  // k, and k = 0 would evaluate every video to return nothing.
+  if (level < 1) {
+    return Status::InvalidArgument(
+        StrCat("level ", level, " is not a level (levels start at 1)"));
+  }
   if (k < 1) {
     return Status::InvalidArgument(StrCat("k ", k, " is not a hit count (k starts at 1)"));
   }
-  if (caches_ == nullptr) return RunSegmentQueryCold(query, k, ctx, resolve_level);
+  if (caches_ == nullptr) return RunCold(query, level, k, ctx);
   // The store is append-only, so its video count identifies its contents.
   // One sample governs the whole query: the lookup validates against it and
   // the fill is stamped with it, so an append slipping in mid-query (a
   // contract violation) can only leave entries a later lookup evicts.
   const auto epoch = static_cast<uint64_t>(store_->num_videos());
-  const std::string key = StrCat(level_tag(), "|k", k, "|", CanonicalFormulaKey(query));
+  const std::string key = StrCat("lvl", level, "|k", k, "|", CanonicalFormulaKey(query));
   obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
   HTL_ASSIGN_OR_RETURN(
       QueryCaches::ResultPtr cached,
       caches_->GetOrRun(key, epoch, ctx, tr, [&]() -> Result<CachedQueryResult> {
-        HTL_ASSIGN_OR_RETURN(SegmentRetrieval r,
-                             RunSegmentQueryCold(query, k, ctx, resolve_level));
+        HTL_ASSIGN_OR_RETURN(SegmentRetrieval r, RunCold(query, level, k, ctx));
         return CachedQueryResult{std::move(r)};
       }));
   return SegmentRetrieval(*cached);
 }
 
-template <typename ResolveLevel>
-Result<SegmentRetrieval> Retriever::RunSegmentQueryCold(
-    const Formula& query, int64_t k, ExecContext* ctx,
-    const ResolveLevel& resolve_level) {
+Result<SegmentRetrieval> Retriever::RunCold(const Formula& query, int level, int64_t k,
+                                            ExecContext* ctx) {
   const bool prune = options_.prune;
   PruneFloor floor;  // Shared by every chunk of this query.
   SegmentPart out;
   const auto eval_one = [&](MetadataStore::VideoId v, ExecContext* ectx,
                             obs::QueryTrace* etr, SegmentPart& part) -> Status {
-    const int level = resolve_level(v);
-    if (level < 0) return Status::OK();  // Named level absent: silently skipped.
     if (prune && floor.Get() > 0.0) {
       // Before any budget or span: a pruned video is skipped outright. A
       // bound failure (e.g. the injected engine.bound_compute fault) falls
@@ -425,28 +420,6 @@ Result<SegmentRetrieval> Retriever::RunSegmentQueryCold(
   return result;
 }
 
-Result<SegmentRetrieval> Retriever::TopSegmentsWithReport(const Formula& query,
-                                                          int level, int64_t k,
-                                                          ExecContext* ctx) {
-  // Checked once here: the per-video loop reads a negative level as "named
-  // level absent" and would skip every video, and level 0 would fail each
-  // video separately.
-  if (level < 1) {
-    return Status::InvalidArgument(
-        StrCat("level ", level, " is not a level (levels start at 1)"));
-  }
-  return RunSegmentQuery(query, k, ctx,
-                         [level] { return StrCat("lvl", level); },
-                         [level](MetadataStore::VideoId) { return level; });
-}
-
-Result<SegmentRetrieval> Retriever::TopSegmentsWithReport(std::string_view query_text,
-                                                          int level, int64_t k,
-                                                          ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(FormulaPtr f, Prepare(query_text));
-  return TopSegmentsWithReport(*f, level, k, ctx);
-}
-
 Result<SegmentRetrieval> Retriever::TopSegmentsProfiled(const Formula& query, int level,
                                                         int64_t k, ExecContext* ctx) {
   return RunProfiled(ctx, [&](ExecContext* use, obs::QueryTrace* trace)
@@ -485,45 +458,6 @@ Result<SegmentRetrieval> Retriever::TopSegmentsProfiled(std::string_view query_t
     HTL_OBS_SPAN(span, trace, "stage.execute");
     return TopSegmentsWithReport(*f, level, k, use);
   });
-}
-
-Result<std::vector<SegmentHit>> Retriever::TopSegments(const Formula& query, int level,
-                                                       int64_t k, ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(SegmentRetrieval r, TopSegmentsWithReport(query, level, k, ctx));
-  HTL_RETURN_IF_ERROR(FirstFailure(r.report));
-  return std::move(r.hits);
-}
-
-Result<std::vector<SegmentHit>> Retriever::TopSegments(std::string_view query_text,
-                                                       int level, int64_t k,
-                                                       ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(FormulaPtr f, Prepare(query_text));
-  return TopSegments(*f, level, k, ctx);
-}
-
-Result<SegmentRetrieval> Retriever::TopSegmentsAtNamedLevelWithReport(
-    const Formula& query, const std::string& level_name, int64_t k, ExecContext* ctx) {
-  return RunSegmentQuery(query, k, ctx,
-                         [&level_name] { return StrCat("name:", level_name); },
-                         [this, &level_name](MetadataStore::VideoId v) {
-                           Result<int> level = store_->Video(v).LevelByName(level_name);
-                           return level.ok() ? level.value() : -1;
-                         });
-}
-
-Result<std::vector<SegmentHit>> Retriever::TopSegmentsAtNamedLevel(
-    const Formula& query, const std::string& level_name, int64_t k, ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(SegmentRetrieval r,
-                       TopSegmentsAtNamedLevelWithReport(query, level_name, k, ctx));
-  HTL_RETURN_IF_ERROR(FirstFailure(r.report));
-  return std::move(r.hits);
-}
-
-Result<std::vector<SegmentHit>> Retriever::TopSegmentsAtNamedLevel(
-    std::string_view query_text, const std::string& level_name, int64_t k,
-    ExecContext* ctx) {
-  HTL_ASSIGN_OR_RETURN(FormulaPtr f, Prepare(query_text));
-  return TopSegmentsAtNamedLevel(*f, level_name, k, ctx);
 }
 
 }  // namespace htl

@@ -61,6 +61,11 @@ struct RetrievalReport {
   /// the result is exact, not partial.
   bool complete() const { return videos_failed == 0; }
 
+  /// The all-or-nothing reading of a run: OK when complete(), otherwise the
+  /// first failed video's status (in id order). Deadline expiry and
+  /// cancellation never get here; they fail the call itself.
+  Status FirstFailure() const;
+
   /// Human-readable one-line summary for logs (names tripped fault points).
   std::string ToString() const;
 };
@@ -73,10 +78,12 @@ struct SegmentRetrieval {
 };
 
 /// The end-to-end retrieval façade of figure 1: parse → bind → classify →
-/// evaluate per video → rank globally → return the top k. Conjunctive and
-/// extended conjunctive queries run on the optimized DirectEngine;
-/// constructs it reports Unimplemented for transparently fall back to the
-/// ReferenceEngine.
+/// evaluate per video → rank globally → return the top k. Prepare parses a
+/// text once; TopSegmentsWithReport(formula, level, k) is the one retrieval
+/// operation, TopSegmentsProfiled the same call under a trace, and
+/// EvaluateList its single-video step. Conjunctive and extended conjunctive
+/// queries run on the optimized DirectEngine; constructs it reports
+/// Unimplemented for transparently fall back to the ReferenceEngine.
 ///
 /// Execution resilience: every entry point accepts an optional ExecContext
 /// carrying a deadline, a cooperative cancellation flag, and per-video
@@ -84,9 +91,8 @@ struct SegmentRetrieval {
 /// with Status::DeadlineExceeded / Cancelled; any *other* per-video error
 /// (an injected fault, a blown budget, corrupt meta-data) is isolated — the
 /// video is skipped, recorded in the RetrievalReport, and ranked results
-/// over the healthy videos are still returned. The plain Top* methods keep
-/// the strict historical contract (first per-video error fails the call);
-/// the *WithReport variants implement graceful degradation.
+/// over the healthy videos are still returned. A caller that wants all or
+/// nothing checks RetrievalReport::FirstFailure().
 ///
 /// Parallel execution: QueryOptions::parallelism splits the per-video loop
 /// into contiguous chunks evaluated on a ThreadPool, each worker under a
@@ -97,8 +103,8 @@ struct SegmentRetrieval {
 ///
 /// Whole-video (browsing) queries are level-1 queries: a video satisfies a
 /// formula when the formula holds at its root (section 2.3), and level 1
-/// holds exactly the root, so TopSegments*(query, 1, k) ranks whole videos
-/// (every hit's segment is the root).
+/// holds exactly the root, so TopSegmentsWithReport(query, 1, k) ranks whole
+/// videos (every hit's segment is the root).
 ///
 /// Pruning (QueryOptions::prune) derives a cheap per-video upper bound on
 /// the attainable similarity and skips videos that provably cannot enter
@@ -116,8 +122,8 @@ struct SegmentRetrieval {
 /// contend, so one query's parallel chunks run lock-free).
 ///
 /// Caching (QueryOptions::cache_mode, default off): with caching enabled
-/// the retriever owns a whole-query result cache (keyed by the level spec,
-/// k, and the canonical query fingerprint; the options need no key part, as
+/// the retriever owns a whole-query result cache (keyed by the level, k,
+/// and the canonical query fingerprint; the options need no key part, as
 /// each cache belongs to one retriever, whose options never change). Each
 /// entry is stamped with the store's video count; hits are bit-identical to
 /// cold recomputation over the same store, and entries computed before an
@@ -133,21 +139,11 @@ class Retriever {
   Result<FormulaPtr> Prepare(std::string_view query_text) const;
 
   /// Top-k segments at `level` over all videos, ranked by fractional
-  /// similarity (ties: lower video id, then lower segment id). Strict: any
-  /// failed video fails the call with the first per-video error.
-  Result<std::vector<SegmentHit>> TopSegments(const Formula& query, int level,
-                                              int64_t k, ExecContext* ctx = nullptr);
-  Result<std::vector<SegmentHit>> TopSegments(std::string_view query_text, int level,
-                                              int64_t k, ExecContext* ctx = nullptr);
-
-  /// Degradation-tolerant TopSegments: faulting videos are skipped and
-  /// recorded; the ranked partial result covers every healthy video. Only
-  /// deadline expiry / cancellation, a `level` or `k` below 1
-  /// (InvalidArgument), and Prepare errors for the text overload fail the
-  /// call itself.
+  /// similarity (ties: lower video id, then lower segment id). Faulting
+  /// videos are skipped and recorded; the ranked partial result covers every
+  /// healthy video. Only deadline expiry / cancellation and a `level` or `k`
+  /// below 1 (InvalidArgument) fail the call itself.
   Result<SegmentRetrieval> TopSegmentsWithReport(const Formula& query, int level,
-                                                 int64_t k, ExecContext* ctx = nullptr);
-  Result<SegmentRetrieval> TopSegmentsWithReport(std::string_view query_text, int level,
                                                  int64_t k, ExecContext* ctx = nullptr);
 
   /// EXPLAIN/profile surface: as TopSegmentsWithReport, but runs the query
@@ -164,22 +160,6 @@ class Retriever {
                                                int64_t k, ExecContext* ctx = nullptr);
   Result<SegmentRetrieval> TopSegmentsProfiled(std::string_view query_text, int level,
                                                int64_t k, ExecContext* ctx = nullptr);
-
-  /// As TopSegments but addressing the level by its registered name (e.g.
-  /// "shot"); each video resolves the name independently, so heterogeneous
-  /// hierarchies mix correctly. Videos lacking the name are skipped (not
-  /// counted as failures).
-  Result<std::vector<SegmentHit>> TopSegmentsAtNamedLevel(const Formula& query,
-                                                          const std::string& level_name,
-                                                          int64_t k,
-                                                          ExecContext* ctx = nullptr);
-  Result<std::vector<SegmentHit>> TopSegmentsAtNamedLevel(std::string_view query_text,
-                                                          const std::string& level_name,
-                                                          int64_t k,
-                                                          ExecContext* ctx = nullptr);
-  Result<SegmentRetrieval> TopSegmentsAtNamedLevelWithReport(
-      const Formula& query, const std::string& level_name, int64_t k,
-      ExecContext* ctx = nullptr);
 
   /// The similarity list of `query` for one video's `level` — the
   /// single-video operation the paper's experiments report (Tables 3-6).
@@ -221,25 +201,10 @@ class Retriever {
   /// meaning ThreadPool::DefaultParallelism(), capped at the video count.
   int EffectiveWorkers() const;
 
-  /// The per-video evaluation loop behind every query entry point, and its
-  /// only result-cache path. Rejects `k` below 1 (InvalidArgument) before
-  /// anything else. `resolve_level` maps a video to the level to query
-  /// (negative: skip the video silently, the named-level contract).
-  /// `level_tag` is a callable producing the level-spec part of the result
-  /// cache key ("lvl<i>" / "name:<s>"); it is a thunk, not a string, so the
-  /// cache_mode=off path never pays the key formatting.
-  template <typename LevelTag, typename ResolveLevel>
-  Result<SegmentRetrieval> RunSegmentQuery(const Formula& query, int64_t k,
-                                           ExecContext* ctx,
-                                           const LevelTag& level_tag,
-                                           const ResolveLevel& resolve_level);
-
-  /// The uncached body of RunSegmentQuery (the cold path the result cache
-  /// falls back to and differential tests compare against).
-  template <typename ResolveLevel>
-  Result<SegmentRetrieval> RunSegmentQueryCold(const Formula& query, int64_t k,
-                                               ExecContext* ctx,
-                                               const ResolveLevel& resolve_level);
+  /// The uncached per-video loop behind TopSegmentsWithReport (the cold path
+  /// the result cache falls back to and differential tests compare against).
+  Result<SegmentRetrieval> RunCold(const Formula& query, int level, int64_t k,
+                                   ExecContext* ctx);
 
   const MetadataStore* store_;
   QueryOptions options_;

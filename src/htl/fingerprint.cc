@@ -55,8 +55,4 @@ uint64_t FingerprintKey(std::string_view key) {
   return h;
 }
 
-uint64_t FingerprintFormula(const Formula& f) {
-  return FingerprintKey(CanonicalFormulaKey(f));
-}
-
 }  // namespace htl

@@ -24,11 +24,8 @@ namespace htl {
 std::string CanonicalFormulaKey(const Formula& f);
 
 /// FNV-1a 64-bit fingerprint of an arbitrary key string — stable across
-/// processes and platforms, used to shard cache key spaces.
+/// processes and platforms.
 uint64_t FingerprintKey(std::string_view key);
-
-/// FingerprintKey(CanonicalFormulaKey(f)).
-uint64_t FingerprintFormula(const Formula& f);
 
 }  // namespace htl
 

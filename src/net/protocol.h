@@ -16,11 +16,12 @@ inline constexpr uint8_t kProtocolVersion = 1;
 /// Which evaluation backend a request runs on — the paper's two systems
 /// plus whole-video browsing:
 enum class QueryKind : uint8_t {
-  /// HTL text -> Retriever::TopSegments* (direct/reference engines) at
-  /// `level`, top-k segments over the whole store.
+  /// HTL text -> Retriever::TopSegmentsProfiled (direct/reference engines)
+  /// at `level`, top-k segments over the whole store.
   kHtlSegments = 0,
-  /// HTL text -> Retriever::TopSegments* at level 1, which holds exactly
-  /// the root: whole videos, ranked with the query asserted at the root.
+  /// HTL text -> Retriever::TopSegmentsProfiled at level 1, which holds
+  /// exactly the root: whole videos, ranked with the query asserted at the
+  /// root.
   kHtlVideos = 1,
   /// HTL text -> the SQL-based second system (section 4): translated to SQL
   /// and executed on the relational engine over the server's configured

@@ -484,18 +484,14 @@ QueryResponse QueryServer::HandleHtl(const QueryRequest& request,
   auto formula = retriever->Prepare(request.query_text);
   if (!formula.ok()) return ErrorResponse(formula.status());
 
+  // Every request runs profiled so the query log can retain full traces
+  // for the slow ones; the client only *sees* the profile text when it
+  // asked for it. A whole-video query is a level-1 query (level 1 holds
+  // exactly the root); its hits keep the kHtlVideos wire form, segment 0.
   const bool want_profile = (request.flags & kFlagWantProfile) != 0;
-  // trace_requests runs every request profiled so the query log can retain
-  // full traces for the slow ones (the client only *sees* the profile text
-  // when it asked for it).
-  const bool traced = want_profile || options_.trace_requests;
-  // A whole-video query is a level-1 query (level 1 holds exactly the
-  // root); its hits keep the kHtlVideos wire form, segment 0.
   const bool videos = request.kind == QueryKind::kHtlVideos;
   const int level = videos ? 1 : request.level;
-  auto result = traced
-                    ? retriever->TopSegmentsProfiled(**formula, level, k, ctx)
-                    : retriever->TopSegmentsWithReport(**formula, level, k, ctx);
+  auto result = retriever->TopSegmentsProfiled(**formula, level, k, ctx);
   if (!result.ok()) return ErrorResponse(result.status());
   QueryResponse response;
   for (const SegmentHit& hit : result->hits) {
@@ -532,24 +528,19 @@ QueryResponse QueryServer::HandleSql(const QueryRequest& request,
   // The SQL system has no Profiled entry point; attach a trace to the
   // session context here so the slowlog gets stage spans for kSql too.
   obs::QueryTrace trace;
-  obs::QueryTrace* tr = nullptr;
-  obs::QueryTrace* saved = nullptr;
-  if (options_.trace_requests && ctx != nullptr) {
-    tr = &trace;
-    saved = ctx->trace();
-    ctx->set_trace(tr);
-  }
-  obs::ScopedTraceAttach attach(tr);
+  obs::QueryTrace* saved = ctx->trace();
+  ctx->set_trace(&trace);
+  obs::ScopedTraceAttach attach(&trace);
   QueryResponse response = [&] {
     FormulaPtr formula;
     {
-      HTL_OBS_SPAN(span, tr, "stage.parse");
+      HTL_OBS_SPAN(span, &trace, "stage.parse");
       auto parsed = ParseFormula(request.query_text);
       if (!parsed.ok()) return ErrorResponse(parsed.status());
       formula = std::move(*parsed);
     }
 
-    HTL_OBS_SPAN(span, tr, "stage.execute");
+    HTL_OBS_SPAN(span, &trace, "stage.execute");
     sql::SqlSystem system;
     system.executor().set_exec_context(ctx);
     auto list =
@@ -564,10 +555,8 @@ QueryResponse QueryServer::HandleSql(const QueryRequest& request,
     resp.videos_evaluated = 1;
     return resp;
   }();
-  if (tr != nullptr) {
-    ctx->set_trace(saved);
-    if (profile != nullptr) *profile = trace.Finish();
-  }
+  ctx->set_trace(saved);
+  if (profile != nullptr) *profile = trace.Finish();
   return response;
 }
 

@@ -105,12 +105,6 @@ struct ServerOptions {
   /// sampling, profile cap). Backs the admin `slowlog` / `trace` verbs.
   obs::QueryLog::Options query_log;
 
-  /// Run every request through the profiled engine entry points so the
-  /// query log can retain full traces for slow/sampled requests. Off: wide
-  /// events still record, but the trace-derived fields stay empty and the
-  /// slowlog holds no profiles.
-  bool trace_requests = true;
-
   /// Stall watchdog: a live session older than this flips healthz to
   /// unhealthy and bumps net.watchdog.stalls (it un-flips when the session
   /// ends). 0 derives a bound that no healthy session can reach —
@@ -235,9 +229,9 @@ class QueryServer {
   void RecordWideEvent(obs::QueryLogRecord record, obs::QueryProfile profile,
                        const WallTimer& total);
 
-  /// Evaluates one decoded request under `ctx`. With trace_requests (or
-  /// kFlagWantProfile) the profiled entry points run and the trace lands in
-  /// `*profile` for the query log.
+  /// Evaluates one decoded request under `ctx`, always traced: the trace
+  /// lands in `*profile` for the query log, and the client sees its text only
+  /// with kFlagWantProfile.
   QueryResponse HandleRequest(const QueryRequest& request, bool degraded,
                               ExecContext* ctx, obs::QueryProfile* profile);
   QueryResponse HandleHtl(const QueryRequest& request, ExecContext* ctx,

@@ -22,8 +22,8 @@ struct OpStats {
 /// The finished, immutable form of a QueryTrace: a tree of timed spans over
 /// the retrieval stages (parse -> bind -> classify -> per-video execute) and
 /// the per-operator kernels, plus every fault point that fired during the
-/// query. Attached to RetrievalReport by the Retriever's *Profiled entry
-/// points and rendered by ToText() — the EXPLAIN ANALYZE of this engine.
+/// query. Attached to RetrievalReport by Retriever::TopSegmentsProfiled
+/// and rendered by ToText() — the EXPLAIN ANALYZE of this engine.
 struct QueryProfile {
   struct Node {
     std::string name;     // Span name, e.g. "stage.execute", "op.until_join".

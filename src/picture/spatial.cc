@@ -1,5 +1,7 @@
 #include "picture/spatial.h"
 
+#include <vector>
+
 #include "util/string_util.h"
 
 namespace htl {
@@ -26,12 +28,6 @@ std::string_view SpatialRelationName(SpatialRelation r) {
       return "contains";
   }
   return "?";
-}
-
-const std::vector<std::string>& SpatialRelationNames() {
-  static const std::vector<std::string>& names = *new std::vector<std::string>{
-      "left_of", "right_of", "above", "below", "overlaps", "inside", "contains"};
-  return names;
 }
 
 bool HoldsBetween(const BoundingBox& a, const BoundingBox& b, SpatialRelation r) {

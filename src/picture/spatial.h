@@ -3,7 +3,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "model/segment.h"
 #include "util/result.h"
@@ -55,9 +54,6 @@ enum class SpatialRelation {
 
 /// Canonical predicate name for a relation ("left_of", "overlaps", ...).
 std::string_view SpatialRelationName(SpatialRelation r);
-
-/// All names, in enum order (for generators and documentation).
-const std::vector<std::string>& SpatialRelationNames();
 
 /// True when boxes a and b stand in relation `r` (a r b).
 bool HoldsBetween(const BoundingBox& a, const BoundingBox& b, SpatialRelation r);

@@ -253,7 +253,6 @@ TEST_F(CacheDifferentialTest, TinyBudgetsEvictButNeverCorrupt) {
   QueryOptions options;
   options.cache_mode = CacheMode::kReadWrite;
   options.result_cache_bytes = 512;  // A couple of entries store-wide.
-  options.cache_shards = 2;
   Retriever cached(&store_, options);
   std::vector<FormulaPtr> formulas;
   std::vector<SegmentRetrieval> want;
@@ -275,6 +274,43 @@ TEST_F(CacheDifferentialTest, TinyBudgetsEvictButNeverCorrupt) {
   const cache::CacheStats stats = cached.caches()->result_stats();
   EXPECT_GT(stats.evictions, 0) << stats.ToString();
   EXPECT_LE(stats.bytes, options.result_cache_bytes) << stats.ToString();
+}
+
+// One budget for the whole cache: answers whose total size fits
+// result_cache_bytes all stay resident, however their keys hash. 4 queries
+// x levels {1, 2} x k {1, 10} make 16 keys; a second cache sized to exactly
+// the first one's resident bytes must hold all 16 without an eviction.
+TEST_F(CacheDifferentialTest, AnswersThatFitTheBudgetAllStayResident) {
+  Retriever roomy = MakeCached();
+  std::vector<FormulaPtr> formulas;
+  for (const ClassedQuery& q : kQueries) {
+    ASSERT_OK_AND_ASSIGN(FormulaPtr f, roomy.Prepare(q.text));
+    formulas.push_back(std::move(f));
+  }
+  const auto run_all = [&formulas](Retriever& r) {
+    for (const FormulaPtr& f : formulas) {
+      for (int level : {1, 2}) {
+        for (int64_t k : {1, 10}) {
+          ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
+                               r.TopSegmentsWithReport(*f, level, k));
+          ASSERT_TRUE(got.report.complete()) << got.report.ToString();
+        }
+      }
+    }
+  };
+  ASSERT_NO_FATAL_FAILURE(run_all(roomy));
+  const cache::CacheStats roomy_stats = roomy.caches()->result_stats();
+  ASSERT_EQ(roomy_stats.entries, 16) << roomy_stats.ToString();
+
+  QueryOptions options;
+  options.cache_mode = CacheMode::kReadWrite;
+  options.parallelism = 1;
+  options.result_cache_bytes = roomy_stats.bytes;
+  Retriever exact(&store_, options);
+  ASSERT_NO_FATAL_FAILURE(run_all(exact));
+  const cache::CacheStats stats = exact.caches()->result_stats();
+  EXPECT_EQ(stats.entries, 16) << stats.ToString();
+  EXPECT_EQ(stats.evictions, 0) << stats.ToString();
 }
 
 // Commutative operand order canonicalizes into one cache key: `a and b`
@@ -333,7 +369,6 @@ TEST_F(CacheDifferentialTest, ResultCacheCountersReachTheRegistry) {
   QueryOptions options;
   options.cache_mode = CacheMode::kReadWrite;
   options.result_cache_bytes = largest;
-  options.cache_shards = 1;
   Retriever cached(&store_, options);
 
   ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Miss, fill.

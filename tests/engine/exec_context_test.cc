@@ -300,7 +300,7 @@ TEST(ExecContextRetrievalTest, ZeroDeadlineQueryReturnsDeadlineExceeded) {
   FormulaPtr q = casablanca::Query1Full();
   ExecContext ctx;
   ctx.SetTimeout(milliseconds(0));
-  Status s = r.TopSegments(*q, 2, 4, &ctx).status();
+  Status s = r.TopSegmentsWithReport(*q, 2, 4, &ctx).status();
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
 }
 
@@ -323,21 +323,23 @@ TEST(ExecContextRetrievalTest, CancelledQueryReturnsCancelled) {
   FormulaPtr q = casablanca::Query1Full();
   ExecContext ctx;
   ctx.Cancel();
-  EXPECT_TRUE(r.TopSegments(*q, 2, 4, &ctx).status().IsCancelled());
+  EXPECT_TRUE(r.TopSegmentsWithReport(*q, 2, 4, &ctx).status().IsCancelled());
 }
 
 TEST(ExecContextRetrievalTest, UnlimitedContextMatchesNullContext) {
   MetadataStore store = MakeCasablancaStore();
   Retriever r(&store);
   FormulaPtr q = casablanca::Query1Full();
-  ASSERT_OK_AND_ASSIGN(auto baseline, r.TopSegments(*q, 2, 4));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval baseline, r.TopSegmentsWithReport(*q, 2, 4));
   ExecContext ctx;  // Default: no deadline, unlimited budgets.
-  ASSERT_OK_AND_ASSIGN(auto limited, r.TopSegments(*q, 2, 4, &ctx));
-  ASSERT_EQ(limited.size(), baseline.size());
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(limited[i].video, baseline[i].video);
-    EXPECT_EQ(limited[i].segment, baseline[i].segment);
-    EXPECT_DOUBLE_EQ(limited[i].sim.actual, baseline[i].sim.actual);
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval limited, r.TopSegmentsWithReport(*q, 2, 4, &ctx));
+  ASSERT_OK(baseline.report.FirstFailure());
+  ASSERT_OK(limited.report.FirstFailure());
+  ASSERT_EQ(limited.hits.size(), baseline.hits.size());
+  for (size_t i = 0; i < baseline.hits.size(); ++i) {
+    EXPECT_EQ(limited.hits[i].video, baseline.hits[i].video);
+    EXPECT_EQ(limited.hits[i].segment, baseline.hits[i].segment);
+    EXPECT_DOUBLE_EQ(limited.hits[i].sim.actual, baseline.hits[i].sim.actual);
   }
 }
 
@@ -372,22 +374,23 @@ TEST(ExecContextRetrievalTest, BudgetsResetPerVideo) {
   ExecBudgets budgets;
   budgets.max_tables = 2;
   ExecContext ctx(budgets);
-  ASSERT_OK_AND_ASSIGN(SegmentRetrieval out,
-                       r.TopSegmentsWithReport("d = 1 and true", 2, 10, &ctx));
+  ASSERT_OK_AND_ASSIGN(FormulaPtr f, r.Prepare("d = 1 and true"));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval out, r.TopSegmentsWithReport(*f, 2, 10, &ctx));
   EXPECT_EQ(out.report.videos_evaluated, 2);
   EXPECT_EQ(out.report.videos_failed, 0) << out.report.ToString();
   // "true" admits every segment (3 per video) with a partial score.
   EXPECT_EQ(out.hits.size(), 6u);
 }
 
-TEST(ExecContextRetrievalTest, StrictApiSurfacesBudgetErrorOfSkippedVideo) {
+TEST(ExecContextRetrievalTest, FirstFailureSurfacesBudgetErrorOfSkippedVideo) {
   MetadataStore store = MakeCasablancaStore();
   Retriever r(&store);
   FormulaPtr q = casablanca::Query1Full();
   ExecBudgets budgets;
   budgets.max_tables = 0;
   ExecContext ctx(budgets);
-  Status s = r.TopSegments(*q, 2, 4, &ctx).status();
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval out, r.TopSegmentsWithReport(*q, 2, 4, &ctx));
+  Status s = out.report.FirstFailure();
   EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
 }
 

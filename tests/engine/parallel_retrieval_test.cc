@@ -81,9 +81,8 @@ class ParallelRetrievalTest : public ::testing::Test {
  protected:
   void SetUp() override {
     FaultRegistry::Instance().DisableAll();
-    // A heterogeneous randomized corpus: six 3-level videos (named levels
-    // "scene"/"shot") and three 2-level ones (no named levels — exercises
-    // the named-level skip path under chunking).
+    // A heterogeneous randomized corpus: six 3-level videos and three
+    // 2-level ones.
     Rng rng(20260806);
     for (int i = 0; i < 9; ++i) {
       VideoGenOptions vopts;
@@ -143,22 +142,6 @@ TEST_F(ParallelRetrievalTest, LevelOneMatchesSerial) {
                                std::string(q.text) + " workers " +
                                    std::to_string(workers));
     }
-  }
-}
-
-TEST_F(ParallelRetrievalTest, NamedLevelSkipsMatchSerial) {
-  // Three of the nine videos have no "shot" level and must be skipped
-  // silently by every chunk exactly as the serial loop skips them.
-  Retriever serial = MakeRetriever(1);
-  ASSERT_OK_AND_ASSIGN(FormulaPtr f, serial.Prepare(kQueries[0].text));
-  ASSERT_OK_AND_ASSIGN(SegmentRetrieval want,
-                       serial.TopSegmentsAtNamedLevelWithReport(*f, "shot", 10));
-  EXPECT_EQ(want.report.videos_evaluated, 6);
-  for (int workers : {2, 4, 8}) {
-    Retriever parallel = MakeRetriever(workers);
-    ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
-                         parallel.TopSegmentsAtNamedLevelWithReport(*f, "shot", 10));
-    ExpectSameSegmentResults(want, got, "workers " + std::to_string(workers));
   }
 }
 

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "model/video_builder.h"
 #include "testing/helpers.h"
 #include "workload/casablanca.h"
 
@@ -39,6 +38,16 @@ MetadataStore MakeStore() {
   return store;
 }
 
+// Prepare + TopSegmentsWithReport, all or nothing: the first failed video's
+// status fails the call.
+Result<std::vector<SegmentHit>> Top(Retriever& r, std::string_view text, int level,
+                                    int64_t k) {
+  HTL_ASSIGN_OR_RETURN(FormulaPtr f, r.Prepare(text));
+  HTL_ASSIGN_OR_RETURN(SegmentRetrieval got, r.TopSegmentsWithReport(*f, level, k));
+  HTL_RETURN_IF_ERROR(got.report.FirstFailure());
+  return std::move(got.hits);
+}
+
 // Formula texts key the engines' atomic-table cache and the result cache,
 // so literals that differ only past six significant digits must print
 // differently: a shared key answers the second query with the first's
@@ -60,8 +69,8 @@ TEST(RetrieverTest, LiteralsPastSixDigitsDoNotShareCacheEntries) {
     for (const char* text : kTexts) {
       SCOPED_TRACE(StrCat(text, " cache_mode ", static_cast<int>(mode)));
       Retriever fresh(&store);
-      ASSERT_OK_AND_ASSIGN(auto want, fresh.TopSegments(text, 2, 10));
-      ASSERT_OK_AND_ASSIGN(auto got, shared.TopSegments(text, 2, 10));
+      ASSERT_OK_AND_ASSIGN(auto want, Top(fresh, text, 2, 10));
+      ASSERT_OK_AND_ASSIGN(auto got, Top(shared, text, 2, 10));
       ASSERT_EQ(want.size(), 1u);
       ASSERT_EQ(got.size(), want.size());
       EXPECT_EQ(got[0].segment, want[0].segment);
@@ -83,7 +92,7 @@ TEST(RetrieverTest, PrepareParsesAndBinds) {
 TEST(RetrieverTest, BrowsingQueryAtLevelOne) {
   MetadataStore store = MakeStore();
   Retriever r(&store);
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegments("type = 'western'", 1, 10));
+  ASSERT_OK_AND_ASSIGN(auto hits, Top(r, "type = 'western'", 1, 10));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].video, 1);
   EXPECT_EQ(hits[0].segment, 1);
@@ -96,7 +105,7 @@ TEST(RetrieverTest, LevelOneRanksVideosByFraction) {
   // Two constraints: the western matches both at the root? Only type
   // matches; both videos have titles. Use a query with partial matches.
   ASSERT_OK_AND_ASSIGN(
-      auto hits, r.TopSegments("type = 'western' and title = 'Desert War'", 1, 10));
+      auto hits, Top(r, "type = 'western' and title = 'Desert War'", 1, 10));
   ASSERT_EQ(hits.size(), 2u);
   // Both score 1/2; ties break by video id.
   EXPECT_EQ(hits[0].video, 1);
@@ -110,7 +119,7 @@ TEST(RetrieverTest, TopSegmentsAcrossVideos) {
   Retriever r(&store);
   ASSERT_OK_AND_ASSIGN(
       auto hits,
-      r.TopSegments("exists p (present(p) @ 1 and holds_gun(p) @ 2)", 2, 3));
+      Top(r, "exists p (present(p) @ 1 and holds_gun(p) @ 2)", 2, 3));
   ASSERT_GE(hits.size(), 3u);
   // Best: video 1 segment 3 (gun, 3/3). Then other segments at 1/3.
   EXPECT_EQ(hits[0].video, 1);
@@ -121,7 +130,7 @@ TEST(RetrieverTest, TopSegmentsAcrossVideos) {
 TEST(RetrieverTest, TopSegmentsHonorsK) {
   MetadataStore store = MakeStore();
   Retriever r(&store);
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegments("exists p (present(p))", 2, 2));
+  ASSERT_OK_AND_ASSIGN(auto hits, Top(r, "exists p (present(p))", 2, 2));
   EXPECT_EQ(hits.size(), 2u);
 }
 
@@ -130,7 +139,7 @@ TEST(RetrieverTest, GeneralClassFallsBackToReference) {
   Retriever r(&store);
   // Negation: only the reference engine handles it.
   ASSERT_OK_AND_ASSIGN(auto hits,
-                       r.TopSegments("not exists p (present(p))", 2, 10));
+                       Top(r, "not exists p (present(p))", 2, 10));
   // Video 2 segments 1 and 3 have no objects (score 1); video 1 none.
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].video, 2);
@@ -139,7 +148,7 @@ TEST(RetrieverTest, GeneralClassFallsBackToReference) {
 TEST(RetrieverTest, LevelBeyondVideoDepthYieldsNothing) {
   MetadataStore store = MakeStore();
   Retriever r(&store);
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegments("true", 5, 10));
+  ASSERT_OK_AND_ASSIGN(auto hits, Top(r, "true", 5, 10));
   EXPECT_TRUE(hits.empty());
 }
 
@@ -148,11 +157,10 @@ TEST(RetrieverTest, LevelBelowOneIsInvalidArgument) {
   // or a silently empty "complete" result (negative levels).
   MetadataStore store = MakeStore();
   Retriever r(&store);
+  ASSERT_OK_AND_ASSIGN(FormulaPtr f, r.Prepare("true"));
   for (int level : {0, -1}) {
     SCOPED_TRACE(level);
-    EXPECT_EQ(r.TopSegmentsWithReport("true", level, 10).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(r.TopSegments("true", level, 10).status().code(),
+    EXPECT_EQ(r.TopSegmentsWithReport(*f, level, 10).status().code(),
               StatusCode::kInvalidArgument);
   }
 }
@@ -163,16 +171,10 @@ TEST(RetrieverTest, KBelowOneIsInvalidArgument) {
   // that returns nothing (k = 0).
   MetadataStore store = MakeStore();
   Retriever r(&store);
+  ASSERT_OK_AND_ASSIGN(FormulaPtr f, r.Prepare("true"));
   for (int64_t k : {0, -1}) {
     SCOPED_TRACE(k);
-    EXPECT_EQ(r.TopSegmentsWithReport("true", 2, k).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(r.TopSegments("true", 2, k).status().code(),
-              StatusCode::kInvalidArgument);
-    ASSERT_OK_AND_ASSIGN(FormulaPtr f, r.Prepare("true"));
-    EXPECT_EQ(r.TopSegmentsAtNamedLevelWithReport(*f, "shot", k).status().code(),
-              StatusCode::kInvalidArgument);
-    EXPECT_EQ(r.TopSegmentsAtNamedLevel("true", "shot", k).status().code(),
+    EXPECT_EQ(r.TopSegmentsWithReport(*f, 2, k).status().code(),
               StatusCode::kInvalidArgument);
   }
 }
@@ -182,7 +184,9 @@ TEST(RetrieverTest, CasablancaTopShot) {
   store.AddVideo(casablanca::MakeVideo());
   Retriever r(&store);
   FormulaPtr q = casablanca::Query1Full();
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegments(*q, 2, 4));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval got, r.TopSegmentsWithReport(*q, 2, 4));
+  ASSERT_OK(got.report.FirstFailure());
+  const std::vector<SegmentHit>& hits = got.hits;
   ASSERT_EQ(hits.size(), 4u);
   // Paper Table 4: shots 1-4 score highest (12.382).
   EXPECT_EQ(hits[0].segment, 1);
@@ -190,48 +194,6 @@ TEST(RetrieverTest, CasablancaTopShot) {
   EXPECT_EQ(hits[2].segment, 3);
   EXPECT_EQ(hits[3].segment, 4);
   EXPECT_NEAR(hits[0].sim.actual, 12.382, 1e-9);
-}
-
-
-TEST(RetrieverTest, NamedLevelRetrievalSkipsUnnamedVideos) {
-  MetadataStore store;
-  VideoTree named = VideoTree::Flat(3);
-  named.MutableMeta(2, 2).SetAttribute("d", AttrValue(int64_t{1}));
-  ASSERT_OK(named.NameLevel("shot", 2));
-  store.AddVideo(std::move(named));
-  VideoTree unnamed = VideoTree::Flat(3);
-  unnamed.MutableMeta(2, 1).SetAttribute("d", AttrValue(int64_t{1}));
-  store.AddVideo(std::move(unnamed));  // No "shot" level registered.
-
-  Retriever r(&store);
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegmentsAtNamedLevel("d = 1", "shot", 10));
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].video, 1);
-  EXPECT_EQ(hits[0].segment, 2);
-}
-
-TEST(RetrieverTest, NamedLevelMixesHeterogeneousDepths) {
-  MetadataStore store;
-  {
-    VideoTree v = VideoTree::Flat(2);  // "shot" is level 2 here.
-    v.MutableMeta(2, 1).SetAttribute("d", AttrValue(int64_t{1}));
-    ASSERT_OK(v.NameLevel("shot", 2));
-    store.AddVideo(std::move(v));
-  }
-  {
-    // Three-level video where "shot" is level 3.
-    VideoBuilder b;
-    auto scene = b.AddChild(b.root());
-    auto shot = b.AddChild(scene);
-    b.Meta(shot).SetAttribute("d", AttrValue(int64_t{1}));
-    b.NameLevel("shot", 3);
-    auto built = std::move(b).Build();
-    ASSERT_OK(built.status());
-    store.AddVideo(std::move(built).value());
-  }
-  Retriever r(&store);
-  ASSERT_OK_AND_ASSIGN(auto hits, r.TopSegmentsAtNamedLevel("d = 1", "shot", 10));
-  EXPECT_EQ(hits.size(), 2u);
 }
 
 }  // namespace

@@ -41,20 +41,21 @@ TEST(FullPipelineTest, FootageToRankedResultsThroughDisk) {
   ASSERT_OK_AND_ASSIGN(VideoTree reloaded, LoadVideo(path));
   std::remove(path.c_str());
 
-  // 3. Retrieve through the façade (store of one reloaded video).
+  // 3. Retrieve through the façade (store of one reloaded video), at its
+  // frame level.
   MetadataStore store;
   store.AddVideo(std::move(reloaded));
   Retriever retriever(&store);
-  ASSERT_OK_AND_ASSIGN(
-      auto hits,
-      retriever.TopSegmentsAtNamedLevel(
-          "exists o (present(o) and next present(o))", "frame", 5));
-  EXPECT_FALSE(hits.empty());
+  auto q = retriever.Prepare("exists o (present(o) and next present(o))");
+  ASSERT_OK(q.status());
+  ASSERT_OK_AND_ASSIGN(int frame_level, store.Video(1).LevelByName("frame"));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval top,
+                       retriever.TopSegmentsWithReport(*q.value(), frame_level, 5));
+  ASSERT_OK(top.report.FirstFailure());
+  EXPECT_FALSE(top.hits.empty());
 
   // 4. Results over the reloaded video match the pre-save evaluation.
   DirectEngine original(&analyzed);
-  auto q = retriever.Prepare("exists o (present(o) and next present(o))");
-  ASSERT_OK(q.status());
   ASSERT_OK_AND_ASSIGN(SimilarityList want,
                        original.EvaluateList(analyzed.num_levels(), *q.value()));
   DirectEngine roundtripped(&store.Video(1));
@@ -121,11 +122,18 @@ TEST(FullPipelineTest, StoreSerializationPreservesRetrievalResults) {
 
   Retriever before(&store);
   Retriever after(&reloaded);
-  const char* query = "exists o (present(o)) until duration >= 999";  // Mixed hit/miss.
-  ASSERT_OK_AND_ASSIGN(auto hits_before,
-                       before.TopSegmentsAtNamedLevel(query, "frame", 8));
-  ASSERT_OK_AND_ASSIGN(auto hits_after,
-                       after.TopSegmentsAtNamedLevel(query, "frame", 8));
+  // At the analyzed video's deepest (frame) level.
+  ASSERT_OK_AND_ASSIGN(
+      FormulaPtr query, before.Prepare("exists o (present(o)) until duration >= 999"));
+  const int level = store.Video(2).num_levels();
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval got_before,
+                       before.TopSegmentsWithReport(*query, level, 8));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval got_after,
+                       after.TopSegmentsWithReport(*query, level, 8));
+  ASSERT_OK(got_before.report.FirstFailure());
+  ASSERT_OK(got_after.report.FirstFailure());
+  const std::vector<SegmentHit>& hits_before = got_before.hits;
+  const std::vector<SegmentHit>& hits_after = got_after.hits;
   ASSERT_EQ(hits_before.size(), hits_after.size());
   for (size_t i = 0; i < hits_before.size(); ++i) {
     EXPECT_EQ(hits_before[i].video, hits_after[i].video);

@@ -73,7 +73,6 @@ TEST(CacheStressTest, RandomizedQueriesMutationsAndCancels) {
   options.thread_pool = &pool;
   options.cache_mode = CacheMode::kReadWrite;
   options.result_cache_bytes = 4096;  // Tiny: eviction fires constantly.
-  options.cache_shards = 2;
   Retriever shared(&store, options);  // ONE caching retriever for all threads.
 
   std::vector<FormulaPtr> queries;

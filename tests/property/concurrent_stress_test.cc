@@ -238,9 +238,9 @@ TEST(ConcurrentStressTest, ParallelPrunedRetrievalUnderFaultChurn) {
 }
 
 TEST(ConcurrentStressTest, ConcurrentStrictQueriesShareEngineCache) {
-  // Strict Top* calls racing over the same cold Retriever: the per-video
-  // engine cache is created under contention and every thread must see the
-  // same exact answers as a lone serial run.
+  // Strict queries (every video must complete) racing over the same cold
+  // Retriever: the per-video engine cache is created under contention and
+  // every thread must see the same exact answers as a lone serial run.
   FaultRegistry::Instance().DisableAll();
   MetadataStore store;
   Rng corpus_rng(99173);
@@ -257,8 +257,10 @@ TEST(ConcurrentStressTest, ConcurrentStrictQueriesShareEngineCache) {
   ASSERT_OK_AND_ASSIGN(
       FormulaPtr query,
       reference.Prepare("exists x (type(x) = 'person') until exists y (moving(y))"));
-  ASSERT_OK_AND_ASSIGN(std::vector<SegmentHit> want,
-                       reference.TopSegments(*query, 2, 6));
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval reference_run,
+                       reference.TopSegmentsWithReport(*query, 2, 6));
+  ASSERT_TRUE(reference_run.report.complete()) << reference_run.report.ToString();
+  const std::vector<SegmentHit>& want = reference_run.hits;
 
   ThreadPool pool(ThreadPool::Options{2, 0});
   QueryOptions options;
@@ -270,15 +272,15 @@ TEST(ConcurrentStressTest, ConcurrentStrictQueriesShareEngineCache) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int round = 0; round < 8; ++round) {
-        auto got = shared.TopSegments(*query, 2, 6);
-        if (!got.ok() || got.value().size() != want.size()) {
+        auto got = shared.TopSegmentsWithReport(*query, 2, 6);
+        if (!got.ok() || !got->report.complete() || got->hits.size() != want.size()) {
           mismatches.fetch_add(1);
           continue;
         }
         for (size_t i = 0; i < want.size(); ++i) {
-          if (!(got.value()[i].video == want[i].video &&
-                got.value()[i].segment == want[i].segment &&
-                got.value()[i].sim == want[i].sim)) {
+          if (!(got->hits[i].video == want[i].video &&
+                got->hits[i].segment == want[i].segment &&
+                got->hits[i].sim == want[i].sim)) {
             mismatches.fetch_add(1);
           }
         }

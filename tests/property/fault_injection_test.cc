@@ -82,7 +82,8 @@ class FaultInjectionTest : public ::testing::Test {
 
   static Result<SegmentRetrieval> RunFreeze(MetadataStore* store) {
     Retriever r(store, SerialOptions());
-    return r.TopSegmentsWithReport(kFreezeQuery, 2, 8);
+    HTL_ASSIGN_OR_RETURN(FormulaPtr f, r.Prepare(kFreezeQuery));
+    return r.TopSegmentsWithReport(*f, 2, 8);
   }
 
   // Runs the SQL-translation side of the workload.
@@ -225,15 +226,16 @@ TEST_F(FaultInjectionTest, SqlScanFaultSurfacesAsCleanStatus) {
   EXPECT_TRUE(out == casablanca::Query1ResultTable());
 }
 
-// The strict (report-free) API keeps its historical contract: the first
-// injected per-video error fails the call with that error.
-TEST_F(FaultInjectionTest, StrictApiSurfacesInjectedError) {
+// The all-or-nothing reading of a report: the first injected per-video
+// error is the run's FirstFailure(), with that error's code.
+TEST_F(FaultInjectionTest, FirstFailureSurfacesInjectedError) {
   FaultSpec spec;
   spec.code = StatusCode::kFailedPrecondition;
   FaultRegistry::Instance().Enable("picture.query", spec);
   Retriever r(&store_);
   FormulaPtr q = casablanca::Query1Full();
-  Status s = r.TopSegments(*q, 2, 8).status();
+  ASSERT_OK_AND_ASSIGN(SegmentRetrieval out, r.TopSegmentsWithReport(*q, 2, 8));
+  Status s = out.report.FirstFailure();
   EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
 }
 

@@ -421,10 +421,11 @@ TEST(PruneDifferentialTest, BoundComputeFaultsDegradeInvisibly) {
   }
 }
 
-// The strict (report-free) API: fault-free, pruning must preserve the exact
-// hits and the OK status. (Faulting strict runs are out of scope by design:
-// pruning may legitimately skip the very video whose failure the strict
-// contract would surface, turning a failed call into a successful one.)
+// The all-or-nothing reading (RetrievalReport::FirstFailure): fault-free,
+// pruning must preserve the exact hits and the OK status. (Faulting runs are
+// out of scope here by design: pruning may legitimately skip the very video
+// whose failure FirstFailure would surface, turning a failed run into a
+// complete one.)
 TEST(PruneDifferentialTest, StrictApiFaultFreeParity) {
   for (uint64_t seed = 440; seed < 444; ++seed) {
     Rng rng(seed);
@@ -445,18 +446,14 @@ TEST(PruneDifferentialTest, StrictApiFaultFreeParity) {
     pruned.parallelism = 2;
     Retriever a(&store, plain);
     Retriever b(&store, pruned);
-    Result<std::vector<SegmentHit>> want = a.TopSegments(*f, 2, 4);
-    Result<std::vector<SegmentHit>> got = b.TopSegments(*f, 2, 4);
-    ASSERT_EQ(want.ok(), got.ok()) << f->ToString();
-    if (!want.ok()) {
-      EXPECT_TRUE(want.status() == got.status()) << f->ToString();
-      continue;
-    }
-    ASSERT_EQ(got.value().size(), want.value().size()) << f->ToString();
-    for (size_t i = 0; i < got.value().size(); ++i) {
-      EXPECT_EQ(got.value()[i].video, want.value()[i].video) << f->ToString();
-      EXPECT_EQ(got.value()[i].segment, want.value()[i].segment);
-      EXPECT_TRUE(got.value()[i].sim == want.value()[i].sim);
+    ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, a.TopSegmentsWithReport(*f, 2, 4));
+    ASSERT_OK_AND_ASSIGN(SegmentRetrieval got, b.TopSegmentsWithReport(*f, 2, 4));
+    EXPECT_TRUE(want.report.FirstFailure() == got.report.FirstFailure()) << f->ToString();
+    ASSERT_EQ(got.hits.size(), want.hits.size()) << f->ToString();
+    for (size_t i = 0; i < got.hits.size(); ++i) {
+      EXPECT_EQ(got.hits[i].video, want.hits[i].video) << f->ToString();
+      EXPECT_EQ(got.hits[i].segment, want.hits[i].segment);
+      EXPECT_TRUE(got.hits[i].sim == want.hits[i].sim);
     }
   }
 }
