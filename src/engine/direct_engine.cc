@@ -85,8 +85,9 @@ class LevelAccumulator {
 
 }  // namespace
 
-DirectEngine::DirectEngine(const VideoTree* video, QueryOptions options)
-    : video_(video), options_(options), pictures_(video, options.picture) {
+DirectEngine::DirectEngine(const VideoTree* video, QueryOptions options,
+                           const VideoStats* index)
+    : video_(video), options_(options), pictures_(video, options.picture, index) {
   HTL_CHECK(video != nullptr);
 }
 

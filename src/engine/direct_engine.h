@@ -9,6 +9,7 @@
 #include "htl/ast.h"
 #include "htl/classifier.h"
 #include "model/video.h"
+#include "model/video_stats.h"
 #include "obs/trace.h"
 #include "picture/picture_system.h"
 #include "sim/sim_table.h"
@@ -22,8 +23,9 @@ namespace htl {
 ///
 /// Evaluation strategy per node:
 ///   * maximal atomic (non-temporal) subtrees become one picture-system
-///     query each; the resulting table is cached per (subtree, level) and
-///     clipped to the sequence bounds in effect;
+///     query each, answered from the video's one index (VideoStats); the
+///     resulting table is cached per (subtree, level) and clipped to the
+///     sequence bounds in effect;
 ///   * `and` / `until` are table joins whose row lists merge with the
 ///     linear-time algorithms of section 3.1 (AndMerge / UntilMerge);
 ///   * `next` shifts lists; `eventually` is the suffix-max sweep;
@@ -43,8 +45,11 @@ namespace htl {
 /// EXPERIMENTS.md (DESIGN.md "One executor").
 class DirectEngine {
  public:
-  /// `video` must outlive the engine.
-  explicit DirectEngine(const VideoTree* video, QueryOptions options = {});
+  /// `video`, and `index` when given, must outlive the engine. `index` is
+  /// the video's index, which the picture queries read; null makes the
+  /// engine build and own one.
+  explicit DirectEngine(const VideoTree* video, QueryOptions options = {},
+                        const VideoStats* index = nullptr);
 
   /// Similarity list of the closed formula `f` over the segments of
   /// `level` (the proper sequence of the root's descendants there).

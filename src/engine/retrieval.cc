@@ -116,7 +116,8 @@ Result<SimilarityList> Retriever::EvaluateList(MetadataStore::VideoId video_id, 
     VideoEngine& slot = EngineFor(video_id);
     MutexLock lock(&slot.mu);
     if (slot.engine == nullptr) {
-      slot.engine = std::make_unique<DirectEngine>(&video, options_);
+      slot.engine =
+          std::make_unique<DirectEngine>(&video, options_, &store_->Stats(video_id));
     }
     slot.engine->set_exec_context(ctx);
     Result<SimilarityList> direct = slot.engine->EvaluateList(level, query);
@@ -146,8 +147,11 @@ void RankAndTrim(std::vector<SegmentHit>& all, int64_t k) {
 // Shared plumbing behind the *Profiled entry points: attach a fresh trace
 // to the effective context (a local unlimited one when the caller passed
 // null), make it the thread's current trace so fault points report into it,
-// run `body(ctx, trace)`, and move the finished profile into the result's
-// report. The context's previous trace is restored on every path.
+// run `body(ctx, trace)`, and finish the trace on every path. The profile
+// goes into the result's report; when the call fails as a whole, it is
+// adopted into the trace the caller's context carried, if any, so a failed
+// request can still explain itself. The context's previous trace is
+// restored on every path.
 template <typename Body>
 auto RunProfiled(ExecContext* ctx, const Body& body)
     -> decltype(body(ctx, static_cast<obs::QueryTrace*>(nullptr))) {
@@ -159,9 +163,13 @@ auto RunProfiled(ExecContext* ctx, const Body& body)
   obs::ScopedTraceAttach attach(&trace);
   auto result = body(use, &trace);
   use->set_trace(saved);
-  if (!result.ok()) return result.status();
+  obs::QueryProfile profile = trace.Finish();
+  if (!result.ok()) {
+    if (saved != nullptr) saved->Adopt(std::move(profile));
+    return result.status();
+  }
   auto out = std::move(result).value();
-  out.report.profile = trace.Finish();
+  out.report.profile = std::move(profile);
   return out;
 }
 

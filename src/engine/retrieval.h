@@ -155,7 +155,8 @@ class Retriever {
   /// (RetrievalReport::profile, rendered by QueryProfile::ToText()). The
   /// caller's ExecContext is used when given (its budgets and deadline
   /// apply; its previous trace is restored on return); null gets a local
-  /// unlimited context.
+  /// unlimited context. A call that fails as a whole has no report: its
+  /// profile is adopted into the trace the caller's context carried, if any.
   Result<SegmentRetrieval> TopSegmentsProfiled(const Formula& query, int level,
                                                int64_t k, ExecContext* ctx = nullptr);
   Result<SegmentRetrieval> TopSegmentsProfiled(std::string_view query_text, int level,

@@ -1,62 +1,22 @@
 #include "htl/bound.h"
 
 #include <algorithm>
+#include <span>
 
 #include "picture/atomic.h"
+#include "picture/constraint_eval.h"
 
 namespace htl {
 namespace {
 
-// Ground comparison, mirroring picture/constraint_eval.cc: null satisfies
-// nothing; ordered operators use AttrValue::LessThan (numeric-or-string).
-bool Compare(const AttrValue& lhs, CompareOp op, const AttrValue& rhs) {
-  if (lhs.is_null() || rhs.is_null()) return false;
-  switch (op) {
-    case CompareOp::kEq: return lhs == rhs;
-    case CompareOp::kNe: return !(lhs == rhs);
-    case CompareOp::kLt: return lhs.LessThan(rhs);
-    case CompareOp::kLe: return lhs.LessThan(rhs) || lhs == rhs;
-    case CompareOp::kGt: return rhs.LessThan(lhs);
-    case CompareOp::kGe: return rhs.LessThan(lhs) || lhs == rhs;
-  }
-  return true;  // Unreachable; unknown widens to satisfiable.
-}
-
-// Could any value in `domain` satisfy `OP literal`? Exact while the domain
-// retained every distinct value; a saturated domain stays exact for ordered
-// comparisons against numeric literals (the numeric range outlives the cap:
-// unseen non-numeric values cannot satisfy a mixed-kind ordered comparison)
-// and widens to "satisfiable" everywhere else.
-bool DomainSatisfiable(const VideoStats::AttrDomain* domain, CompareOp op,
-                       const AttrValue& literal) {
-  if (domain == nullptr || literal.is_null()) return false;
-  for (const AttrValue& v : domain->values) {
-    if (Compare(v, op, literal)) return true;
-  }
-  if (!domain->saturated) return false;
-  if (literal.is_numeric() &&
-      (op == CompareOp::kLt || op == CompareOp::kLe || op == CompareOp::kGt ||
-       op == CompareOp::kGe)) {
-    if (!domain->has_numeric) return false;
-    const double lit = literal.AsDouble();
-    switch (op) {
-      case CompareOp::kLt: return domain->num_min < lit;
-      case CompareOp::kLe: return domain->num_min <= lit;
-      case CompareOp::kGt: return domain->num_max > lit;
-      case CompareOp::kGe: return domain->num_max >= lit;
-      default: break;
-    }
-  }
-  return true;  // Saturated equality/inequality: an unseen value may match.
-}
-
-// One side of a comparison, reduced to what the stats can check: a literal,
-// an attribute domain lookup, or "anything" (attribute variables bound by
-// freeze, unresolved names — conservatively satisfiable).
+// One side of a comparison, reduced to what the index can check: a literal,
+// the distinct values an attribute takes at the level, or "anything"
+// (attribute variables bound by freeze, unresolved names — conservatively
+// satisfiable).
 struct TermView {
   enum class Kind { kLiteral, kDomain, kAny } kind = Kind::kAny;
   const AttrValue* literal = nullptr;
-  const VideoStats::AttrDomain* domain = nullptr;  // May be null: empty domain.
+  std::span<const AttrValue> domain;  // Empty: nothing carries the attribute.
 };
 
 TermView ViewTerm(const AttrTerm& term, const VideoStats& stats, int level) {
@@ -68,11 +28,11 @@ TermView ViewTerm(const AttrTerm& term, const VideoStats& stats, int level) {
       break;
     case AttrTerm::Kind::kSegmentAttr:
       view.kind = TermView::Kind::kDomain;
-      view.domain = stats.Domain(level, VideoStats::Scope::kSegment, term.name);
+      view.domain = stats.Values(level, VideoStats::Scope::kSegment, term.name);
       break;
     case AttrTerm::Kind::kAttrOfVar:
       view.kind = TermView::Kind::kDomain;
-      view.domain = stats.Domain(level, VideoStats::Scope::kObject, term.name);
+      view.domain = stats.Values(level, VideoStats::Scope::kObject, term.name);
       break;
     case AttrTerm::Kind::kVariable:  // Freeze-bound: any frozen value.
     case AttrTerm::Kind::kName:      // Unbound name: never claim impossible.
@@ -82,21 +42,11 @@ TermView ViewTerm(const AttrTerm& term, const VideoStats& stats, int level) {
   return view;
 }
 
-CompareOp Flip(CompareOp op) {
-  switch (op) {
-    case CompareOp::kLt: return CompareOp::kGt;
-    case CompareOp::kLe: return CompareOp::kGe;
-    case CompareOp::kGt: return CompareOp::kLt;
-    case CompareOp::kGe: return CompareOp::kLe;
-    case CompareOp::kEq:
-    case CompareOp::kNe: return op;
-  }
-  return op;
-}
-
 // Whether `c` could be satisfied by some segment/object/binding at `level`.
 // Independent per constraint: joint satisfiability (one object providing
 // every conjunct) is not required for an upper bound on the weighted sum.
+// A comparison against a literal is exact: the index keeps every distinct
+// value, and Compare is the one the picture system evaluates with.
 bool ConstraintSatisfiable(const Constraint& c, const VideoStats& stats, int level) {
   switch (c.kind) {
     case Constraint::Kind::kPresent:
@@ -115,11 +65,15 @@ bool ConstraintSatisfiable(const Constraint& c, const VideoStats& stats, int lev
       }
       if (lhs.kind == TermView::Kind::kDomain &&
           rhs.kind == TermView::Kind::kLiteral) {
-        return DomainSatisfiable(lhs.domain, c.op, *rhs.literal);
+        return std::any_of(lhs.domain.begin(), lhs.domain.end(), [&](const AttrValue& v) {
+          return Compare(v, c.op, *rhs.literal);
+        });
       }
       if (lhs.kind == TermView::Kind::kLiteral &&
           rhs.kind == TermView::Kind::kDomain) {
-        return DomainSatisfiable(rhs.domain, Flip(c.op), *lhs.literal);
+        return std::any_of(rhs.domain.begin(), rhs.domain.end(), [&](const AttrValue& v) {
+          return Compare(*lhs.literal, c.op, v);
+        });
       }
       // Domain-to-domain (two attributes): checking cross products would
       // need joint per-object reasoning; widen to satisfiable.
@@ -223,6 +177,8 @@ double Bound(const Formula& f, const VideoTree& video, const VideoStats& stats,
 double UpperBoundFraction(const Formula& f, const VideoTree& video,
                           const VideoStats& stats, int level,
                           const BoundOptions& options) {
+  // The index answers only for levels the video has; elsewhere, "maybe".
+  if (level < 1 || level > video.num_levels()) return 1.0;
   return Bound(f, video, stats, level, options);
 }
 

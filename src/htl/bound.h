@@ -26,8 +26,8 @@ inline constexpr double kBoundSlack = 1e-9;
 /// A sound upper bound, in [0, 1], on the fractional similarity
 /// (Sim::fraction()) that `f` can attain on any segment of `video` at
 /// `level` — the threshold-style score cap of DESIGN.md "Scale-out
-/// retrieval". Derived structurally from `stats` (one VideoStats::Build
-/// scan) without evaluating the formula:
+/// retrieval". Derived structurally from `stats`, `video`'s index, without
+/// evaluating the formula (a level outside the video bounds at 1):
 ///
 ///   - maximal atomic-shaped subtrees score at most the weight fraction of
 ///     their independently-satisfiable constraints (the picture system's

@@ -1,32 +1,33 @@
 #ifndef HTL_MODEL_VIDEO_STATS_H_
 #define HTL_MODEL_VIDEO_STATS_H_
 
-#include <cstddef>
-#include <map>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "model/object.h"
 #include "model/value.h"
+#include "util/interval.h"
 
 namespace htl {
 
 class VideoTree;
 
-/// Per-video, per-level index statistics backing bound-based top-k pruning
-/// (DESIGN.md "Scale-out retrieval"): one linear scan over a video's
-/// segments summarizes, for every level, which atomic predicates *could*
-/// score at all — whether any object appears, which predicate names/arities
-/// are recorded, and the value domains of segment and object attributes.
-/// The bound walker (htl/bound.h) combines these over the formula tree into
-/// a sound upper bound on the attainable fractional similarity.
-/// MetadataStore::AddVideo builds one VideoStats per video, and a video
-/// never changes once added, so the summary never goes stale.
+/// The one per-video index: for every level, which objects appear where,
+/// which attribute values occur, and which facts are recorded. These are
+/// the "indices on the meta-data" the paper's picture retrieval system
+/// [27, 25, 2] answers atomic formulas from (PictureSystem), and the same
+/// per-level questions bound-based top-k pruning asks (htl/bound.h,
+/// DESIGN.md "Scale-out retrieval"). MetadataStore::AddVideo builds one per
+/// video in one scan, and a video never changes once added, so the index
+/// never goes stale.
 ///
-/// Soundness contract: every query here over-approximates. If
-/// CompareSatisfiable / HasFact / HasObjects returns false, no segment at
-/// that level can satisfy the constraint (the picture system's semantics:
-/// null values satisfy no comparison, facts match by name and arity). The
-/// reverse is deliberately not promised — a true answer may still score 0.
+/// Layout: per level, flat sorted vectors (no map node per entry), each
+/// row owning a run of a shared array. Values match by
+/// AttrValue::operator== (0 and -0.0 are one value), and every distinct
+/// non-null value is kept. Levels must lie in [1, num_levels()].
 class VideoStats {
  public:
   /// Whose attribute map a comparison reads.
@@ -35,57 +36,69 @@ class VideoStats {
     kObject,   // attribute function over an object variable (height(x))
   };
 
-  /// Distinct non-null values retained per (level, scope, attribute) before
-  /// the domain saturates and equality tests become "maybe" (numeric ranges
-  /// stay exact past the cap, so ordered comparisons never weaken).
-  static constexpr size_t kMaxDistinctValues = 64;
-
   /// One pass over every segment of every level.
   static VideoStats Build(const VideoTree& video);
 
-  /// True when any object appears in any segment at `level` (present(x)
-  /// can score). Out-of-range levels answer true (never claim impossible).
-  bool HasObjects(int level) const;
+  int num_levels() const { return static_cast<int>(levels_.size()); }
 
-  /// True when a ground fact named `name` with `arity` arguments is
-  /// recorded in any segment at `level`.
-  bool HasFact(int level, const std::string& name, size_t arity) const;
+  /// Every object appearing at `level`, ascending.
+  std::span<const ObjectId> Objects(int level) const { return At(level).objects; }
 
-  /// Could `attr OP value` hold for some segment/object at `level`? `test`
-  /// receives each retained domain value; a saturated domain with a numeric
-  /// range falls back to `test_range(num_min, num_max)` for ordered ops —
-  /// callers pass a predicate that is monotone over the range endpoints.
-  /// Exposed as raw domain access so this model-layer summary stays
-  /// ignorant of the HTL comparison operators (htl/bound.cc owns those).
-  struct AttrDomain {
-    bool saturated = false;          // More than kMaxDistinctValues distinct.
-    std::vector<AttrValue> values;   // Retained distinct non-null values.
-    bool has_numeric = false;
-    double num_min = 0.0;            // Exact over *all* numeric values seen,
-    double num_max = 0.0;            // even past the saturation cap.
-  };
+  /// True when any object appears at `level` (present(x) can score).
+  bool HasObjects(int level) const { return !At(level).objects.empty(); }
 
-  /// The value domain of `attr` at `level` in `scope`, or nullptr when no
-  /// segment/object there carries a non-null value for it (in which case no
-  /// comparison over it can be satisfied). Out-of-range levels return a
-  /// saturated universal domain (never claim impossible).
-  const AttrDomain* Domain(int level, Scope scope, const std::string& attr) const;
+  /// Ascending ids of the segments at `level` where object `id` appears.
+  std::span<const SegmentId> Posting(int level, ObjectId id) const;
+
+  /// Distinct non-null values of `attr` at `level` in `scope`, in a strict
+  /// weak order that agrees with AttrValue::operator== (numerics by value,
+  /// then strings). Empty when nothing there carries the attribute.
+  std::span<const AttrValue> Values(int level, Scope scope, std::string_view attr) const;
+
+  /// Ascending objects whose attribute `attr` equals `value` in some
+  /// segment at `level`. Drives candidate pruning for type(x) = 'airplane'.
+  std::span<const ObjectId> ObjectsWithAttrValue(int level, std::string_view attr,
+                                                 const AttrValue& value) const;
+
+  /// True when a ground fact `name` with `arity` arguments is recorded at
+  /// `level` (nullary facts included).
+  bool HasFact(int level, std::string_view name, size_t arity) const;
+
+  /// Ascending objects in argument position `pos` of some fact `name`, of
+  /// any arity, at `level`.
+  std::vector<ObjectId> ObjectsInFactPosition(int level, std::string_view name,
+                                              size_t pos) const;
 
  private:
-  struct LevelStats {
-    bool has_objects = false;
-    std::map<std::string, std::vector<size_t>> fact_arities;  // Sorted, unique.
-    std::map<std::string, AttrDomain> segment_attrs;
-    std::map<std::string, AttrDomain> object_attrs;
+  // A row owns the run of its pool that ends at its `end` and begins at the
+  // previous row's end.
+  struct Attr {
+    std::string name;
+    Scope scope;
+    uint32_t values_end;  // Into Level::values.
+  };
+  struct Fact {
+    std::string name;
+    uint32_t arity;
+    uint32_t pos;          // 0 with no objects for a nullary fact.
+    uint32_t objects_end;  // Into Level::fact_objects.
+  };
+  struct Level {
+    std::vector<ObjectId> objects;       // Ascending.
+    std::vector<uint32_t> segments_end;  // Per object, into segments.
+    std::vector<SegmentId> segments;
+    std::vector<Attr> attrs;             // By (scope, name).
+    std::vector<AttrValue> values;       // Per attribute, ascending, distinct.
+    std::vector<uint32_t> holders_end;   // Per value, into holders.
+    std::vector<ObjectId> holders;       // Objects holding an object-scope value.
+    std::vector<Fact> facts;             // By (name, arity, pos).
+    std::vector<ObjectId> fact_objects;
   };
 
-  static void AddValue(AttrDomain& domain, const AttrValue& value);
+  static Level BuildLevel(const VideoTree& video, int level);
+  const Level& At(int level) const;
 
-  // A saturated domain with an unbounded numeric range, returned for levels
-  // outside [1, num_levels] so out-of-range lookups stay conservative.
-  static const AttrDomain& UniversalDomain();
-
-  std::vector<LevelStats> levels_;  // Index level - 1.
+  std::vector<Level> levels_;  // Index level - 1.
 };
 
 }  // namespace htl

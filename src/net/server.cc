@@ -491,8 +491,18 @@ QueryResponse QueryServer::HandleHtl(const QueryRequest& request,
   const bool want_profile = (request.flags & kFlagWantProfile) != 0;
   const bool videos = request.kind == QueryKind::kHtlVideos;
   const int level = videos ? 1 : request.level;
+  // A request that fails as a whole (an expired deadline, say) returns no
+  // report; its trace is adopted into this one instead, so its wide event
+  // and the slowlog still carry it.
+  obs::QueryTrace failed;
+  obs::QueryTrace* saved = ctx->trace();
+  ctx->set_trace(&failed);
   auto result = retriever->TopSegmentsProfiled(**formula, level, k, ctx);
-  if (!result.ok()) return ErrorResponse(result.status());
+  ctx->set_trace(saved);
+  if (!result.ok()) {
+    if (profile != nullptr) *profile = failed.Finish();
+    return ErrorResponse(result.status());
+  }
   QueryResponse response;
   for (const SegmentHit& hit : result->hits) {
     response.hits.push_back(WireHit{hit.video, videos ? 0 : hit.segment,

@@ -19,11 +19,12 @@ namespace htl::obs {
 /// fingerprint, formula class, or degraded flag without correlating streams.
 ///
 /// Fields that require a trace (formula_class, cache_hit, rows, tables) are
-/// zero/empty when the request produced no retrieval result: it was
-/// refused, undecodable, drained, failed by an injected net.session fault,
-/// or failed as a whole (a parse error, a level or k below 1, an expired
-/// deadline). They describe what the service knew, not what it might have
-/// known.
+/// zero/empty when the request never reached retrieval: it was refused,
+/// undecodable, drained, failed by an injected net.session fault, asked for
+/// k below 1, or did not parse. A request that reached retrieval and then
+/// failed as a whole (a level below 1, an expired deadline) keeps the trace
+/// it ran under. The fields describe what the service knew, not what it
+/// might have known.
 struct QueryLogRecord {
   uint64_t id = 0;            // Assigned by QueryLog::Record; monotonic from 1.
   uint64_t fingerprint = 0;   // FNV-1a of the raw query text (htl/fingerprint).

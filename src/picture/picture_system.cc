@@ -1,7 +1,9 @@
 #include "picture/picture_system.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
+#include <span>
 
 #include "obs/metrics.h"
 #include "picture/constraint_eval.h"
@@ -43,10 +45,10 @@ std::vector<std::string> ConstraintObjectVars(const Constraint& c) {
   return vars;
 }
 
-// Merge of sorted id vectors.
-std::vector<SegmentId> UnionSorted(std::vector<const std::vector<SegmentId>*> inputs) {
+// Merge of sorted id runs.
+std::vector<SegmentId> UnionSorted(const std::vector<std::span<const SegmentId>>& inputs) {
   std::vector<SegmentId> out;
-  for (const auto* v : inputs) out.insert(out.end(), v->begin(), v->end());
+  for (const std::span<const SegmentId> v : inputs) out.insert(out.end(), v.begin(), v.end());
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -54,17 +56,15 @@ std::vector<SegmentId> UnionSorted(std::vector<const std::vector<SegmentId>*> in
 
 }  // namespace
 
-PictureSystem::PictureSystem(const VideoTree* video, PictureOptions options)
-    : video_(video), options_(options) {
+PictureSystem::PictureSystem(const VideoTree* video, PictureOptions options,
+                             const VideoStats* index)
+    : video_(video), options_(options), index_(index) {
   HTL_CHECK(video != nullptr);
-}
-
-const LevelIndex& PictureSystem::Index(int level) {
-  auto it = indices_.find(level);
-  if (it == indices_.end()) {
-    it = indices_.emplace(level, std::make_unique<LevelIndex>(*video_, level)).first;
+  if (index_ == nullptr) {
+    owned_index_ = std::make_unique<const VideoStats>(VideoStats::Build(*video));
+    index_ = owned_index_.get();
   }
-  return *it->second;
+  HTL_CHECK_EQ(index_->num_levels(), video->num_levels());
 }
 
 Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& atomic) {
@@ -79,8 +79,8 @@ Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& ato
     // Reject two-attribute-variable comparisons up front.
     HTL_RETURN_IF_ERROR(ComparisonAttrVar(c).status());
   }
-  const LevelIndex& index = Index(level);
-  const int64_t n = index.num_segments();
+  const VideoStats& index = *index_;
+  const int64_t n = video_->NumSegments(level);
   const std::vector<std::string> all_vars = atomic.AllObjectVars();
   const std::vector<std::string> free_vars = atomic.FreeObjectVars();
   const std::vector<std::string> attr_vars = atomic.FreeAttrVars();
@@ -105,7 +105,8 @@ Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& ato
         case Constraint::Kind::kPredicate: {
           for (size_t pos = 0; pos < c.pred_args.size(); ++pos) {
             if (c.pred_args[pos] != v) continue;
-            const auto& objs = index.ObjectsInFactPosition(c.pred_name, pos);
+            const std::vector<ObjectId> objs =
+                index.ObjectsInFactPosition(level, c.pred_name, pos);
             candidates[v].insert(candidates[v].end(), objs.begin(), objs.end());
           }
           break;
@@ -119,7 +120,8 @@ Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& ato
           const AttrTerm& other = lhs_of_v ? c.rhs : c.lhs;
           if (c.op == CompareOp::kEq && self.kind == AttrTerm::Kind::kAttrOfVar &&
               other.kind == AttrTerm::Kind::kLiteral) {
-            const auto& objs = index.ObjectsWithAttrValue(self.name, other.literal);
+            const std::span<const ObjectId> objs =
+                index.ObjectsWithAttrValue(level, self.name, other.literal);
             candidates[v].insert(candidates[v].end(), objs.begin(), objs.end());
           } else {
             needs_all[v] = true;
@@ -131,7 +133,10 @@ Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& ato
   }
   int64_t binding_count = 1;
   for (const std::string& v : all_vars) {
-    if (needs_all[v]) candidates[v] = index.all_objects();
+    if (needs_all[v]) {
+      const std::span<const ObjectId> all = index.Objects(level);
+      candidates[v].assign(all.begin(), all.end());
+    }
     auto& c = candidates[v];
     std::sort(c.begin(), c.end());
     c.erase(std::unique(c.begin(), c.end()), c.end());
@@ -166,12 +171,12 @@ Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& ato
   while (true) {
     EvalEnv env;
     std::vector<ObjectId> binding(k, SimilarityTable::kAnyObject);
-    std::vector<const std::vector<SegmentId>*> postings;
+    std::vector<std::span<const SegmentId>> postings;
     for (size_t i = 0; i < k; ++i) {
       if (odo[i] == 0) continue;
       binding[i] = candidates[all_vars[i]][odo[i] - 1];
       env.objects[all_vars[i]] = binding[i];
-      postings.push_back(&index.Posting(binding[i]));
+      postings.push_back(index.Posting(level, binding[i]));
     }
     // Segments that can score nonzero for this binding.
     std::vector<SegmentId> segments;

@@ -1,12 +1,11 @@
 #ifndef HTL_PICTURE_PICTURE_SYSTEM_H_
 #define HTL_PICTURE_PICTURE_SYSTEM_H_
 
-#include <map>
 #include <memory>
 
 #include "model/video.h"
+#include "model/video_stats.h"
 #include "picture/atomic.h"
-#include "picture/index.h"
 #include "sim/sim_table.h"
 #include "sim/value_table.h"
 #include "util/result.h"
@@ -29,6 +28,10 @@ struct PictureOptions {
 /// segments, scoring each segment by weighted partial match (the sum of the
 /// weights of satisfied constraints; segments scoring zero are omitted).
 ///
+/// Candidate objects and segments come from the video's one index
+/// (VideoStats): the store's copy when the caller passes it, else one the
+/// system builds at construction.
+///
 /// Semantics notes (documented in DESIGN.md):
 ///   * Bindings range over objects appearing anywhere at the queried level;
 ///     rows whose list would be empty are dropped. A wildcard row (object
@@ -40,13 +43,12 @@ struct PictureOptions {
 ///     values outside every row's range the atomic formula scores zero.
 class PictureSystem {
  public:
-  /// `video` must outlive the system.
-  explicit PictureSystem(const VideoTree* video, PictureOptions options = {});
+  /// `video`, and `index` when given, must outlive the system. `index` must
+  /// be built from `video`; null makes the system build and own one.
+  explicit PictureSystem(const VideoTree* video, PictureOptions options = {},
+                         const VideoStats* index = nullptr);
 
   const VideoTree& video() const { return *video_; }
-
-  /// Lazily built per-level index.
-  const LevelIndex& Index(int level);
 
   /// Similarity table of `atomic` over the segments of `level`. Columns:
   /// the atomic formula's free object variables and attribute variables.
@@ -64,7 +66,8 @@ class PictureSystem {
  private:
   const VideoTree* video_;
   PictureOptions options_;
-  std::map<int, std::unique_ptr<LevelIndex>> indices_;
+  std::unique_ptr<const VideoStats> owned_index_;  // Null when the caller's.
+  const VideoStats* index_;
 };
 
 }  // namespace htl

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -122,18 +123,24 @@ TEST(FullPipelineTest, StoreSerializationPreservesRetrievalResults) {
 
   Retriever before(&store);
   Retriever after(&reloaded);
-  // At the analyzed video's deepest (frame) level.
-  ASSERT_OK_AND_ASSIGN(
-      FormulaPtr query, before.Prepare("exists o (present(o)) until duration >= 999"));
-  const int level = store.Video(2).num_levels();
+  // Level 3 exists in both videos, and the query scores in both, so the
+  // comparison below has hits from each to compare.
+  ASSERT_OK_AND_ASSIGN(FormulaPtr query,
+                       before.Prepare("eventually exists o (present(o))"));
+  const int level = 3;
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval got_before,
-                       before.TopSegmentsWithReport(*query, level, 8));
+                       before.TopSegmentsWithReport(*query, level, 64));
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval got_after,
-                       after.TopSegmentsWithReport(*query, level, 8));
+                       after.TopSegmentsWithReport(*query, level, 64));
   ASSERT_OK(got_before.report.FirstFailure());
   ASSERT_OK(got_after.report.FirstFailure());
   const std::vector<SegmentHit>& hits_before = got_before.hits;
   const std::vector<SegmentHit>& hits_after = got_after.hits;
+  for (MetadataStore::VideoId v : {1, 2}) {
+    EXPECT_TRUE(std::any_of(hits_before.begin(), hits_before.end(),
+                            [v](const SegmentHit& hit) { return hit.video == v; }))
+        << "video " << v << " has no hit";
+  }
   ASSERT_EQ(hits_before.size(), hits_after.size());
   for (size_t i = 0; i < hits_before.size(); ++i) {
     EXPECT_EQ(hits_before[i].video, hits_after[i].video);

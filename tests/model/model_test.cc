@@ -230,8 +230,8 @@ TEST(MetadataStoreTest, AppendsMoveNoVideoAndNoStats) {
   EXPECT_EQ(&store.Video(1), video);
   EXPECT_EQ(&store.Stats(1), stats);
   // Each video's stats summarize that video: only the first has a type.
-  EXPECT_NE(store.Stats(1).Domain(2, VideoStats::Scope::kSegment, "type"), nullptr);
-  EXPECT_EQ(store.Stats(1001).Domain(2, VideoStats::Scope::kSegment, "type"), nullptr);
+  EXPECT_EQ(store.Stats(1).Values(2, VideoStats::Scope::kSegment, "type").size(), 1u);
+  EXPECT_TRUE(store.Stats(1001).Values(2, VideoStats::Scope::kSegment, "type").empty());
 }
 
 }  // namespace

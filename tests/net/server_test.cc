@@ -446,6 +446,7 @@ TEST_F(ServerTest, EveryExitLandsOneWideEventAndOneLatencyObservation) {
   options.hard_watermark = 2;
   options.read_timeout_ms = 10'000;  // Keep the parked sessions parked.
   options.default_deadline_ms = 0;   // A request relying on it has expired.
+  options.query_log.slow_threshold_us = 0;  // Every traced request is slow.
   StartServer(options);
   const obs::Histogram* latency = obs::MetricsRegistry::Instance().GetHistogram(
       "net.request.latency_us", {});
@@ -499,6 +500,12 @@ TEST_F(ServerTest, EveryExitLandsOneWideEventAndOneLatencyObservation) {
     ASSERT_OK_AND_ASSIGN(QueryResponse response, MakeClient().QueryOnce(expired));
     ASSERT_EQ(response.status, WireStatus::kWireDeadlineExceeded) << response.message;
     expect_one_event(response.status, false, true);
+    // The failed request keeps the trace it ran under.
+    const auto tail = server_->query_log().Tail(1);
+    ASSERT_EQ(tail.size(), 1u);
+    EXPECT_FALSE(tail[0].record.formula_class.empty());
+    ASSERT_NE(tail[0].profile, nullptr);
+    EXPECT_NE(tail[0].profile->Find("stage.execute"), nullptr);
     settle(0);
   }
   {

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
+#include <vector>
+
 #include "htl/binder.h"
 #include "htl/parser.h"
+#include "model/video_stats.h"
 #include "testing/helpers.h"
 #include "workload/casablanca.h"
 
@@ -250,41 +255,76 @@ TEST(PictureSystemTest, CasablancaTable2ManWoman) {
 }
 
 // ---------------------------------------------------------------------------
-// LevelIndex
+// The per-level index the picture system reads: the video's VideoStats.
+
+template <typename T>
+std::vector<T> Ids(std::span<const T> ids) {
+  return std::vector<T>(ids.begin(), ids.end());
+}
 
 TEST(LevelIndexTest, PostingsAndLookups) {
   VideoTree v = MakeTestVideo();
-  LevelIndex index(v, 2);
-  EXPECT_EQ(index.num_segments(), 6);
-  EXPECT_EQ(index.all_objects(), (std::vector<ObjectId>{1, 2}));
-  EXPECT_EQ(index.Posting(1), (std::vector<SegmentId>{1, 2, 3}));
-  EXPECT_EQ(index.Posting(2), (std::vector<SegmentId>{2, 3, 4, 5}));
-  EXPECT_TRUE(index.Posting(99).empty());
+  const VideoStats index = VideoStats::Build(v);
+  EXPECT_EQ(Ids(index.Objects(2)), (std::vector<ObjectId>{1, 2}));
+  EXPECT_EQ(Ids(index.Posting(2, 1)), (std::vector<SegmentId>{1, 2, 3}));
+  EXPECT_EQ(Ids(index.Posting(2, 2)), (std::vector<SegmentId>{2, 3, 4, 5}));
+  EXPECT_TRUE(index.Posting(2, 99).empty());
 }
 
 TEST(LevelIndexTest, AttrValueIndex) {
   VideoTree v = MakeTestVideo();
-  LevelIndex index(v, 2);
-  EXPECT_EQ(index.ObjectsWithAttrValue("type", AttrValue("airplane")),
+  const VideoStats index = VideoStats::Build(v);
+  EXPECT_EQ(Ids(index.ObjectsWithAttrValue(2, "type", AttrValue("airplane"))),
             std::vector<ObjectId>{1});
-  EXPECT_EQ(index.ObjectsWithAttrValue("type", AttrValue("person")),
+  EXPECT_EQ(Ids(index.ObjectsWithAttrValue(2, "type", AttrValue("person"))),
             std::vector<ObjectId>{2});
-  EXPECT_TRUE(index.ObjectsWithAttrValue("type", AttrValue("horse")).empty());
+  EXPECT_TRUE(index.ObjectsWithAttrValue(2, "type", AttrValue("horse")).empty());
 }
 
 TEST(LevelIndexTest, FactPositionIndex) {
   VideoTree v = MakeTestVideo();
-  LevelIndex index(v, 2);
-  EXPECT_EQ(index.ObjectsInFactPosition("holds_gun", 0), std::vector<ObjectId>{2});
-  EXPECT_TRUE(index.ObjectsInFactPosition("holds_gun", 1).empty());
-  EXPECT_TRUE(index.ObjectsInFactPosition("nope", 0).empty());
+  const VideoStats index = VideoStats::Build(v);
+  EXPECT_EQ(index.ObjectsInFactPosition(2, "holds_gun", 0), std::vector<ObjectId>{2});
+  EXPECT_TRUE(index.ObjectsInFactPosition(2, "holds_gun", 1).empty());
+  EXPECT_TRUE(index.ObjectsInFactPosition(2, "nope", 0).empty());
 }
 
-TEST(LevelIndexTest, SegmentAttrIndex) {
-  VideoTree v = MakeTestVideo();
-  LevelIndex index(v, 2);
-  EXPECT_EQ(index.SegmentsWithAttrValue("duration", AttrValue(int64_t{3})),
-            std::vector<SegmentId>{3});
+// Values match by AttrValue::operator==, not by their text: 0, 0.0 and
+// -0.0 are one value, and NaN equals nothing.
+TEST(LevelIndexTest, ValuesMatchByEquality) {
+  VideoTree v = VideoTree::Flat(3);
+  const AttrValue heights[] = {AttrValue(-0.0), AttrValue(int64_t{0}),
+                               AttrValue(std::nan(""))};
+  for (SegmentId s = 1; s <= 3; ++s) {
+    ObjectAppearance obj;
+    obj.id = s;
+    obj.attributes["height"] = heights[s - 1];
+    v.MutableMeta(2, s).AddObject(std::move(obj));
+  }
+  const VideoStats index = VideoStats::Build(v);
+  EXPECT_EQ(Ids(index.ObjectsWithAttrValue(2, "height", AttrValue(0.0))),
+            (std::vector<ObjectId>{1, 2}));
+  EXPECT_TRUE(index.ObjectsWithAttrValue(2, "height", AttrValue(std::nan(""))).empty());
+  // One zero and one NaN: the zeros collapse to one value.
+  EXPECT_EQ(index.Values(2, VideoStats::Scope::kObject, "height").size(), 2u);
+}
+
+// Facts of one name and several arities share the (name, position) lookup,
+// and HasFact tells the arities apart, nullary included.
+TEST(LevelIndexTest, FactArities) {
+  VideoTree v = VideoTree::Flat(2);
+  v.MutableMeta(2, 1).AddFact({"near", {3}});
+  v.MutableMeta(2, 2).AddFact({"near", {1, 2}});
+  v.MutableMeta(2, 2).AddFact({"dusk", {}});
+  const VideoStats index = VideoStats::Build(v);
+  EXPECT_EQ(index.ObjectsInFactPosition(2, "near", 0), (std::vector<ObjectId>{1, 3}));
+  EXPECT_EQ(index.ObjectsInFactPosition(2, "near", 1), std::vector<ObjectId>{2});
+  EXPECT_TRUE(index.HasFact(2, "near", 1));
+  EXPECT_TRUE(index.HasFact(2, "near", 2));
+  EXPECT_FALSE(index.HasFact(2, "near", 3));
+  EXPECT_TRUE(index.HasFact(2, "dusk", 0));
+  EXPECT_FALSE(index.HasFact(2, "dusk", 1));
+  EXPECT_FALSE(index.HasFact(1, "near", 1));
 }
 
 }  // namespace

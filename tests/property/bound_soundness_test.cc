@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <set>
@@ -26,6 +27,7 @@
 #include "engine/retrieval.h"
 #include "htl/binder.h"
 #include "htl/bound.h"
+#include "htl/parser.h"
 #include "model/video.h"
 #include "model/video_stats.h"
 #include "testing/helpers.h"
@@ -117,9 +119,11 @@ const Formula* ShrinkToMinimal(const Formula* f,
 }
 
 // One randomized trial: a small skewed corpus, one generated formula,
-// soundness asserted for every video.
+// soundness asserted for every video. `wide_domains` gives every video
+// dozens of leaves and heights drawn from 1..200 (in the formulas too), so
+// a leaf level holds more distinct heights than a capped domain would keep.
 void SoundnessTrial(uint64_t seed, const FormulaGenOptions& fopts_in,
-                    int video_levels, bool fuzzy_and) {
+                    int video_levels, bool fuzzy_and, bool wide_domains = false) {
   Rng rng(seed);
   MetadataStore store;
   CorpusGenOptions corpus;
@@ -131,9 +135,26 @@ void SoundnessTrial(uint64_t seed, const FormulaGenOptions& fopts_in,
   corpus.selective_fraction = 0.3;
   corpus.size_skew = 0.25;
   corpus.seed = seed * 6271 + 5;
-  GenerateCorpus(corpus, &store);
-
   FormulaGenOptions fopts = fopts_in;
+  if (wide_domains) {
+    corpus.video.min_branching = 40;
+    corpus.video.max_branching = 48;
+    corpus.video.num_objects = 6;
+    corpus.video.object_density = 0.5;
+    corpus.video.attr_range = 200;
+    fopts.attr_range = 200;
+  }
+  GenerateCorpus(corpus, &store);
+  if (wide_domains) {
+    size_t widest = 0;
+    for (MetadataStore::VideoId v = 1; v <= corpus.num_videos; ++v) {
+      const VideoStats& stats = store.Stats(v);
+      widest = std::max(
+          widest, stats.Values(video_levels, VideoStats::Scope::kObject, "height").size());
+    }
+    ASSERT_GT(widest, 64u) << "no leaf level holds more than 64 distinct heights";
+  }
+
   fopts.max_levels = store.Video(1).num_levels();
   FormulaPtr f = GenerateFormula(rng, fopts);
   ASSERT_OK(Bind(f.get()));
@@ -200,6 +221,35 @@ TEST(BoundSoundnessTest, FuzzyMinConjunctions) {
   for (uint64_t seed = 120; seed <= 131; ++seed) {
     SoundnessTrial(seed, fopts, /*video_levels=*/2, /*fuzzy_and=*/true);
   }
+}
+
+TEST(BoundSoundnessTest, WideValueDomains) {
+  // Every distinct value is kept, so equality and ordered comparisons are
+  // tested exactly against domains far past 64 values.
+  FormulaGenOptions fopts;
+  for (uint64_t seed = 150; seed <= 157; ++seed) {
+    SoundnessTrial(seed, fopts, /*video_levels=*/2, /*fuzzy_and=*/false,
+                   /*wide_domains=*/true);
+  }
+}
+
+// The index keeps every distinct value, so a comparison no value satisfies
+// bounds at 0 however many values the level holds.
+TEST(BoundSoundnessTest, EveryDistinctValueIsKept) {
+  VideoTree video = VideoTree::Flat(100);
+  for (SegmentId s = 1; s <= 100; ++s) {
+    video.MutableMeta(2, s).SetAttribute("duration", AttrValue(int64_t{s}));
+  }
+  const VideoStats stats = VideoStats::Build(video);
+  const auto bound = [&](const char* text) {
+    Result<FormulaPtr> f = ParseFormula(text);
+    HTL_CHECK(f.ok() && Bind(f.value().get()).ok());
+    return UpperBoundFraction(*f.value(), video, stats, 2);
+  };
+  EXPECT_EQ(bound("duration = 1000"), 0.0);
+  EXPECT_EQ(bound("duration = 50"), 1.0);
+  EXPECT_EQ(bound("duration > 100"), 0.0);
+  EXPECT_EQ(bound("duration >= 100"), 1.0);
 }
 
 // Directed edge cases the generator reaches only rarely: until's bound

@@ -8,6 +8,7 @@
 #include "engine/direct_engine.h"
 #include "engine/reference_engine.h"
 #include "htl/binder.h"
+#include "htl/parser.h"
 #include "testing/helpers.h"
 #include "util/rng.h"
 #include "workload/formula_gen.h"
@@ -97,6 +98,27 @@ TEST_P(EnginesAgreeTest, FlatVideoWithClosedNegation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EnginesAgreeTest, ::testing::Range(0, 12));
+
+// The picture system's candidate objects must match by the same equality
+// constraint evaluation uses: height -0.0 equals 0, so object 1 scores in
+// segment 1 as the reference engine says.
+TEST(EnginesAgreeOnValuesTest, NegativeZeroEqualsZero) {
+  VideoTree video = VideoTree::Flat(2);
+  const AttrValue heights[] = {AttrValue(-0.0), AttrValue(int64_t{0})};
+  for (SegmentId s = 1; s <= 2; ++s) {
+    ObjectAppearance obj;
+    obj.id = s;
+    obj.attributes["height"] = heights[s - 1];
+    video.MutableMeta(2, s).AddObject(std::move(obj));
+  }
+  ASSERT_OK_AND_ASSIGN(FormulaPtr f, ParseFormula("exists x (height(x) = 0)"));
+  ASSERT_OK(Bind(f.get()));
+  DirectEngine direct(&video);
+  ReferenceEngine reference(&video);
+  ExpectListsAgree(direct, reference, 2, *f, 0);
+  ASSERT_OK_AND_ASSIGN(SimilarityList got, direct.EvaluateList(2, *f));
+  EXPECT_TRUE(ListsNear(got, testing::L({{1, 2, 1.0}}, 1.0)));
+}
 
 }  // namespace
 }  // namespace htl
