@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "engine/direct_engine.h"
-#include "engine/query_cache.h"
 #include "engine/reference_engine.h"
+#include "engine/result_cache.h"
 #include "htl/binder.h"
 #include "htl/bound.h"
 #include "htl/classifier.h"
@@ -47,7 +46,7 @@ Retriever::Retriever(const MetadataStore* store, QueryOptions options)
     : store_(store), options_(options) {
   HTL_CHECK(store != nullptr);
   if (options_.cache_mode != CacheMode::kOff) {
-    caches_ = std::make_unique<QueryCaches>(options_);
+    cache_ = std::make_unique<ResultCache>(options_.result_cache_bytes);
   }
 }
 
@@ -134,13 +133,30 @@ Result<SimilarityList> Retriever::EvaluateList(MetadataStore::VideoId video_id, 
 
 namespace {
 
-// Global ranking: descending fraction, ties by video then segment id.
+// The global ranking, a total order: descending fraction, ties by video then
+// segment id.
+bool RanksBefore(const SegmentHit& a, const SegmentHit& b) {
+  if (a.sim.fraction() != b.sim.fraction()) return a.sim.fraction() > b.sim.fraction();
+  if (a.video != b.video) return a.video < b.video;
+  return a.segment < b.segment;
+}
+
+// Offers `hit` to a chunk's top k: a heap whose front is its worst hit.
+void KeepTopK(std::vector<SegmentHit>& top, int64_t k, const SegmentHit& hit) {
+  if (static_cast<int64_t>(top.size()) < k) {
+    top.push_back(hit);
+    std::push_heap(top.begin(), top.end(), RanksBefore);
+    return;
+  }
+  if (!RanksBefore(hit, top.front())) return;
+  std::pop_heap(top.begin(), top.end(), RanksBefore);
+  top.back() = hit;
+  std::push_heap(top.begin(), top.end(), RanksBefore);
+}
+
+// Ranks the merged chunk heaps (at most chunks x k hits) and keeps the top k.
 void RankAndTrim(std::vector<SegmentHit>& all, int64_t k) {
-  std::stable_sort(all.begin(), all.end(), [](const SegmentHit& a, const SegmentHit& b) {
-    if (a.sim.fraction() != b.sim.fraction()) return a.sim.fraction() > b.sim.fraction();
-    if (a.video != b.video) return a.video < b.video;
-    return a.segment < b.segment;
-  });
+  std::sort(all.begin(), all.end(), RanksBefore);
   if (static_cast<int64_t>(all.size()) > k) all.resize(static_cast<size_t>(k));
 }
 
@@ -173,20 +189,11 @@ auto RunProfiled(ExecContext* ctx, const Body& body)
   return out;
 }
 
-// One chunk's share of a query for ForEachVideo: the retrieval result plus
-// the chunk-local pruning scratch — a min-heap of the best k hit fractions
-// seen by this chunk. Once the heap is full its root is the chunk's k-th
-// best, which is a valid lower bound on the global k-th best (the k-th
-// largest of a subset never exceeds the k-th largest of the whole), so it
-// can be published to the shared floor.
-struct SegmentPart : SegmentRetrieval {
-  std::vector<double> best;
-};
-
 // Folds one chunk's partial result into `out`. Chunks cover contiguous
-// ascending video ranges and merge in chunk order, so the concatenated hit
-// and failure sequences match the serial loop exactly.
-void MergeChunk(SegmentPart& out, SegmentPart&& part) {
+// ascending video ranges and merge in chunk order, so the failure and
+// pruned sequences match the serial loop exactly; the hits are each chunk's
+// top k, which RankAndTrim ranks.
+void MergeChunk(SegmentRetrieval& out, SegmentRetrieval&& part) {
   out.report.videos_evaluated += part.report.videos_evaluated;
   out.report.videos_failed += part.report.videos_failed;
   out.report.videos_degraded += part.report.videos_degraded;
@@ -198,19 +205,6 @@ void MergeChunk(SegmentPart& out, SegmentPart&& part) {
     out.report.pruned_videos.push_back(v);
   }
   for (auto& hit : part.hits) out.hits.push_back(std::move(hit));
-}
-
-// Push one retained hit fraction into the local top-k min-heap.
-void PushBest(std::vector<double>& best, int64_t k, double fraction) {
-  if (static_cast<int64_t>(best.size()) < k) {
-    best.push_back(fraction);
-    std::push_heap(best.begin(), best.end(), std::greater<>());
-    return;
-  }
-  if (fraction <= best.front()) return;
-  std::pop_heap(best.begin(), best.end(), std::greater<>());
-  best.back() = fraction;
-  std::push_heap(best.begin(), best.end(), std::greater<>());
 }
 
 // The monotonically-rising top-k floor one query's chunks share (CAS-max).
@@ -250,7 +244,7 @@ class PruneFloor {
 // innermost open span, also in chunk order.
 template <typename EvalOne>
 Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers,
-                    ThreadPool* pool, const EvalOne& eval_one, SegmentPart& out) {
+                    ThreadPool* pool, const EvalOne& eval_one, SegmentRetrieval& out) {
   obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
   if (workers <= 1 || num_videos <= 1) {
     for (MetadataStore::VideoId v = 1; v <= num_videos; ++v) {
@@ -274,7 +268,7 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers,
   // touching the caller's context (whose cancel flag stays the caller's to
   // set); children observe the group through the parent chain.
   ExecContext group(ctx);
-  std::vector<SegmentPart> parts(static_cast<size_t>(chunks));
+  std::vector<SegmentRetrieval> parts(static_cast<size_t>(chunks));
   // QueryTrace is neither copyable nor movable, hence the indirection.
   std::vector<std::unique_ptr<obs::QueryTrace>> worker_traces;
   if (tr != nullptr) {
@@ -298,7 +292,7 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers,
         obs::ScopedTraceAttach attach(wtr);
         HTL_OBS_SPAN(wspan, wtr, "worker");
         wspan.SetUnit(c);
-        SegmentPart& part = parts[static_cast<size_t>(c)];
+        SegmentRetrieval& part = parts[static_cast<size_t>(c)];
         for (int64_t v = chunk_begin(c); v < chunk_begin(c + 1); ++v) {
           // Drain once any worker aborted: the merged result is discarded,
           // so finishing the chunk would be wasted work.
@@ -332,7 +326,7 @@ Status ForEachVideo(int64_t num_videos, ExecContext* ctx, int workers,
       tr->Adopt(wt->Finish());
     }
   }
-  for (SegmentPart& part : parts) MergeChunk(out, std::move(part));
+  for (SegmentRetrieval& part : parts) MergeChunk(out, std::move(part));
   return Status::OK();
 }
 
@@ -351,30 +345,23 @@ Result<SegmentRetrieval> Retriever::TopSegmentsWithReport(const Formula& query,
   if (k < 1) {
     return Status::InvalidArgument(StrCat("k ", k, " is not a hit count (k starts at 1)"));
   }
-  if (caches_ == nullptr) return RunCold(query, level, k, ctx);
+  if (cache_ == nullptr) return RunCold(query, level, k, ctx);
   // The store is append-only, so its video count identifies its contents.
   // One sample governs the whole query: the lookup validates against it and
   // the fill is stamped with it, so an append slipping in mid-query (a
   // contract violation) can only leave entries a later lookup evicts.
-  const auto epoch = static_cast<uint64_t>(store_->num_videos());
+  const auto stamp = static_cast<uint64_t>(store_->num_videos());
   const std::string key = StrCat("lvl", level, "|k", k, "|", CanonicalFormulaKey(query));
-  obs::QueryTrace* tr = ctx != nullptr ? ctx->trace() : nullptr;
-  HTL_ASSIGN_OR_RETURN(
-      QueryCaches::ResultPtr cached,
-      caches_->GetOrRun(key, epoch, ctx, tr, [&]() -> Result<CachedQueryResult> {
-        HTL_ASSIGN_OR_RETURN(SegmentRetrieval r, RunCold(query, level, k, ctx));
-        return CachedQueryResult{std::move(r)};
-      }));
-  return SegmentRetrieval(*cached);
+  return cache_->GetOrRun(key, stamp, ctx, [&] { return RunCold(query, level, k, ctx); });
 }
 
 Result<SegmentRetrieval> Retriever::RunCold(const Formula& query, int level, int64_t k,
                                             ExecContext* ctx) {
   const bool prune = options_.prune;
   PruneFloor floor;  // Shared by every chunk of this query.
-  SegmentPart out;
+  SegmentRetrieval out;
   const auto eval_one = [&](MetadataStore::VideoId v, ExecContext* ectx,
-                            obs::QueryTrace* etr, SegmentPart& part) -> Status {
+                            obs::QueryTrace* etr, SegmentRetrieval& part) -> Status {
     if (prune && floor.Get() > 0.0) {
       // Before any budget or span: a pruned video is skipped outright. A
       // bound failure (e.g. the injected engine.bound_compute fault) falls
@@ -409,23 +396,21 @@ Result<SegmentRetrieval> Retriever::RunCold(const Formula& query, int level, int
     if (degraded) vspan.SetNote("degraded");
     ++part.report.videos_evaluated;
     if (degraded) ++part.report.videos_degraded;
-    // Keep at most k per video before the global merge.
     for (const RankedSegment& rs : TopKSegments(list.value(), k)) {
-      part.hits.push_back(SegmentHit{v, rs.id, rs.sim});
-      if (prune) PushBest(part.best, k, rs.sim.fraction());
+      KeepTopK(part.hits, k, SegmentHit{v, rs.id, rs.sim});
     }
-    if (prune && static_cast<int64_t>(part.best.size()) >= k) {
-      floor.Publish(part.best.front());
+    // A full heap's worst fraction is the chunk's k-th best, a lower bound
+    // on the global k-th best (the k-th largest of a subset never exceeds
+    // the k-th largest of the whole), so it can be shared as the floor.
+    if (prune && static_cast<int64_t>(part.hits.size()) >= k) {
+      floor.Publish(part.hits.front().sim.fraction());
     }
     return Status::OK();
   };
   HTL_RETURN_IF_ERROR(ForEachVideo(store_->num_videos(), ctx, EffectiveWorkers(),
                                    options_.thread_pool, eval_one, out));
   RankAndTrim(out.hits, k);
-  SegmentRetrieval result;
-  result.hits = std::move(out.hits);
-  result.report = std::move(out.report);
-  return result;
+  return out;
 }
 
 Result<SegmentRetrieval> Retriever::TopSegmentsProfiled(const Formula& query, int level,

@@ -20,7 +20,7 @@
 
 namespace htl {
 
-class QueryCaches;
+class ResultCache;
 
 /// One retrieved video segment across the whole database.
 struct SegmentHit {
@@ -106,10 +106,15 @@ struct SegmentRetrieval {
 /// holds exactly the root, so TopSegmentsWithReport(query, 1, k) ranks whole
 /// videos (every hit's segment is the root).
 ///
+/// Each chunk of the per-video loop keeps at most k hits, in one heap
+/// ordered like the final ranking, so a query holds at most chunks x k hits
+/// however many videos it evaluates; the chunks' heaps merge into the top k.
+///
 /// Pruning (QueryOptions::prune) derives a cheap per-video upper bound on
 /// the attainable similarity and skips videos that provably cannot enter
-/// the current top k; parallel chunks share the top-k floor through a
-/// monotonic atomic. It is proven bit-identical to the plain path by
+/// the current top k; once a chunk's heap is full, its worst hit's fraction
+/// is a floor the chunks share through a monotonic atomic. It is proven
+/// bit-identical to the plain path by
 /// tests/property/prune_differential_test.cc — see DESIGN.md "Scale-out
 /// retrieval".
 ///
@@ -121,14 +126,14 @@ struct SegmentRetrieval {
 /// safe: the engine cache is mutex-guarded per video (distinct videos never
 /// contend, so one query's parallel chunks run lock-free).
 ///
-/// Caching (QueryOptions::cache_mode, default off): with caching enabled
-/// the retriever owns a whole-query result cache (keyed by the level, k,
-/// and the canonical query fingerprint; the options need no key part, as
-/// each cache belongs to one retriever, whose options never change). Each
-/// entry is stamped with the store's video count; hits are bit-identical to
-/// cold recomputation over the same store, and entries computed before an
-/// append are lazily evicted; concurrent identical queries single-flight
-/// (one computes, the rest wait). See DESIGN.md "Result caching".
+/// Caching (QueryOptions::cache_mode, default off): with kReadWrite the
+/// retriever owns one ResultCache of whole-query answers, keyed by the
+/// level, k and the canonical query fingerprint (the options need no key
+/// part: the cache belongs to one retriever, whose options never change).
+/// Each entry is stamped with the store's video count, so entries computed
+/// before an append are lazily evicted; hits are bit-identical to cold
+/// recomputation over the same store, and concurrent identical queries
+/// single-flight. See DESIGN.md "Result caching".
 class Retriever {
  public:
   /// `store` must outlive the retriever.
@@ -170,9 +175,9 @@ class Retriever {
                                       const Formula& query, ExecContext* ctx = nullptr,
                                       bool* degraded = nullptr);
 
-  /// The retriever's cache bundle — null when cache_mode == kOff. Exposed
-  /// for stats assertions in tests and benches.
-  QueryCaches* caches() { return caches_.get(); }
+  /// The retriever's result cache — null when cache_mode == kOff. Exposed
+  /// for resident-state checks and Clear() in tests and benches.
+  ResultCache* cache() { return cache_.get(); }
 
  private:
   /// One cached per-video engine slot. `mu` serializes queries touching
@@ -212,7 +217,7 @@ class Retriever {
   Mutex engines_mu_;  // Guards engines_ (map shape only; slots guard themselves).
   std::map<MetadataStore::VideoId, std::unique_ptr<VideoEngine>> engines_
       HTL_GUARDED_BY(engines_mu_);
-  std::unique_ptr<QueryCaches> caches_;  // Null when cache_mode == kOff.
+  std::unique_ptr<ResultCache> cache_;  // Null when cache_mode == kOff.
 };
 
 }  // namespace htl

@@ -42,9 +42,10 @@ inline constexpr double kBoundSlack = 1e-9;
 /// The soundness property (bound >= true best fraction per video, within
 /// kBoundSlack) is asserted over randomized corpora and formulas by
 /// tests/property/bound_soundness_test.cc, and the end-to-end guarantee
-/// (pruning never perturbs ranked output, statuses, or reports) by
-/// tests/property/prune_differential_test.cc. Every change here re-runs
-/// both (CONTRIBUTING.md ground rule; lint rule `prune-differential`).
+/// (pruning never perturbs ranked output, statuses, or reports, and every
+/// pruned video's bound is below the k-th hit's fraction minus kBoundSlack)
+/// by tests/property/prune_differential_test.cc. Every change here re-runs
+/// both (CONTRIBUTING.md ground rule).
 double UpperBoundFraction(const Formula& f, const VideoTree& video,
                           const VideoStats& stats, int level,
                           const BoundOptions& options = {});

@@ -188,22 +188,20 @@ bool VideoStats::HasFact(int level, std::string_view name, size_t arity) const {
   return it != lv.facts.end() && it->name == name && it->arity == arity;
 }
 
-std::vector<ObjectId> VideoStats::ObjectsInFactPosition(int level, std::string_view name,
-                                                        size_t pos) const {
+std::span<const ObjectId> VideoStats::ObjectsInFactPosition(int level, std::string_view name,
+                                                            size_t arity, size_t pos) const {
+  if (pos >= arity) return {};  // A nullary fact's row holds no objects.
   const Level& lv = At(level);
-  std::vector<ObjectId> out;
-  auto it = std::lower_bound(lv.facts.begin(), lv.facts.end(), name,
-                             [](const Fact& f, std::string_view n) { return f.name < n; });
-  for (; it != lv.facts.end() && it->name == name; ++it) {
-    if (it->pos != pos || it->arity <= pos) continue;
-    const std::span<const ObjectId> run = Run(
-        lv.fact_objects, it == lv.facts.begin() ? 0 : std::prev(it)->objects_end, it->objects_end);
-    out.insert(out.end(), run.begin(), run.end());
+  const auto it = std::lower_bound(
+      lv.facts.begin(), lv.facts.end(), name, [arity, pos](const Fact& f, std::string_view n) {
+        if (f.name != n) return f.name < n;
+        return f.arity != arity ? f.arity < arity : f.pos < pos;
+      });
+  if (it == lv.facts.end() || it->name != name || it->arity != arity || it->pos != pos) {
+    return {};
   }
-  // One row per arity: merge them.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return Run(lv.fact_objects, it == lv.facts.begin() ? 0 : std::prev(it)->objects_end,
+             it->objects_end);
 }
 
 }  // namespace htl

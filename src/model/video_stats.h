@@ -64,10 +64,10 @@ class VideoStats {
   /// `level` (nullary facts included).
   bool HasFact(int level, std::string_view name, size_t arity) const;
 
-  /// Ascending objects in argument position `pos` of some fact `name`, of
-  /// any arity, at `level`.
-  std::vector<ObjectId> ObjectsInFactPosition(int level, std::string_view name,
-                                              size_t pos) const;
+  /// Ascending objects in argument position `pos` of some fact `name` with
+  /// `arity` arguments at `level`.
+  std::span<const ObjectId> ObjectsInFactPosition(int level, std::string_view name,
+                                                  size_t arity, size_t pos) const;
 
  private:
   // A row owns the run of its pool that ends at its `end` and begins at the

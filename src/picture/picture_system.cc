@@ -105,8 +105,8 @@ Result<SimilarityTable> PictureSystem::Query(int level, const AtomicFormula& ato
         case Constraint::Kind::kPredicate: {
           for (size_t pos = 0; pos < c.pred_args.size(); ++pos) {
             if (c.pred_args[pos] != v) continue;
-            const std::vector<ObjectId> objs =
-                index.ObjectsInFactPosition(level, c.pred_name, pos);
+            const std::span<const ObjectId> objs =
+                index.ObjectsInFactPosition(level, c.pred_name, c.pred_args.size(), pos);
             candidates[v].insert(candidates[v].end(), objs.begin(), objs.end());
           }
           break;

@@ -324,7 +324,6 @@ Status Executor::ChargeRows(int64_t n) {
 }
 
 Result<Table> Executor::Execute(const Statement& stmt) {
-  counters_.statements.Increment();
   HTL_OBS_COUNT("sql.statements", 1);
   HTL_OBS_SPAN(span, trace(), "sql.statement");
   // Statement boundary: poll deadline/cancel and reset the per-unit
@@ -367,7 +366,6 @@ Result<Table> Executor::Execute(const Statement& stmt) {
         }
         copy.AddRow(std::move(row));
       }
-      counters_.rows_materialized.Add(static_cast<int64_t>(stmt.values.size()));
       HTL_OBS_COUNT("sql.rows_materialized", static_cast<int64_t>(stmt.values.size()));
       catalog_->CreateOrReplace(stmt.table, std::move(copy));
       return Table();
@@ -504,7 +502,6 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
     };
 
     if (!equis.empty()) {
-      counters_.hash_joins.Increment();
       HTL_OBS_COUNT("sql.hash_joins", 1);
       HTL_OBS_SPAN(span, trace(), "sql.hash_join");
       span.AddRows(static_cast<int64_t>(work.size()) + t->num_rows());
@@ -527,7 +524,6 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
         if (!matched && ref.join == JoinType::kLeft) emit(outer, nullptr);
       }
     } else if (range_col >= 0) {
-      counters_.range_joins.Increment();
       HTL_OBS_COUNT("sql.range_joins", 1);
       HTL_OBS_SPAN(span, trace(), "sql.range_join");
       span.AddRows(static_cast<int64_t>(work.size()) + t->num_rows());
@@ -590,7 +586,6 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
         if (!matched && ref.join == JoinType::kLeft) emit(outer, nullptr);
       }
     } else {
-      counters_.loop_joins.Increment();
       HTL_OBS_COUNT("sql.loop_joins", 1);
       HTL_OBS_SPAN(span, trace(), "sql.loop_join");
       span.AddRows(static_cast<int64_t>(work.size()) + t->num_rows());
@@ -603,7 +598,6 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
     }
     schema = std::move(combined);
     work = std::move(next);
-    counters_.rows_materialized.Add(static_cast<int64_t>(work.size()));
     HTL_OBS_COUNT("sql.rows_materialized", static_cast<int64_t>(work.size()));
     HTL_RETURN_IF_ERROR(ChargeRows(static_cast<int64_t>(work.size())));
   }
@@ -730,7 +724,6 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
       order_inputs.push_back(r);
     }
   }
-  counters_.rows_materialized.Add(out.num_rows());
   HTL_OBS_COUNT("sql.rows_materialized", out.num_rows());
   HTL_RETURN_IF_ERROR(ChargeRows(out.num_rows()));
 

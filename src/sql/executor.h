@@ -4,25 +4,12 @@
 #include <cstdint>
 
 #include "engine/exec_context.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sql/ast.h"
 #include "sql/table.h"
 #include "util/result.h"
 
 namespace htl::sql {
-
-/// Point-in-time counter snapshot exposed for the benchmark harness and
-/// ablations. Returned by value from Executor::stats(); the live counters
-/// are relaxed atomics, so stats() and ResetStats() are race-free against a
-/// statement running on another thread.
-struct ExecStats {
-  int64_t statements = 0;
-  int64_t rows_materialized = 0;  // Rows written into intermediate results.
-  int64_t hash_joins = 0;
-  int64_t range_joins = 0;  // Sorted-seek (index-nested-loop-style) joins.
-  int64_t loop_joins = 0;   // Plain nested-loop joins.
-};
 
 /// Executes parsed statements against a catalog. The execution model is the
 /// classic materializing interpreter: every SELECT fully materializes its
@@ -37,6 +24,11 @@ struct ExecStats {
 ///     by outer-side expressions (plays the role of the RDBMS index);
 ///   * nested loop otherwise.
 /// Remaining conjuncts run as residual filters.
+///
+/// Work is counted only in the metrics registry, while it is enabled:
+/// `sql.statements`, `sql.rows_materialized` (rows written into
+/// intermediate results), `sql.hash_joins`, `sql.range_joins` (sorted-seek
+/// joins) and `sql.loop_joins` (plain nested loops).
 class Executor {
  public:
   /// `catalog` must outlive the executor.
@@ -53,24 +45,6 @@ class Executor {
   /// empty table when the script has none).
   Result<Table> ExecuteScript(std::string_view text);
 
-  /// Snapshot of the live counters (by value; see ExecStats).
-  ExecStats stats() const {
-    ExecStats s;
-    s.statements = counters_.statements.Value();
-    s.rows_materialized = counters_.rows_materialized.Value();
-    s.hash_joins = counters_.hash_joins.Value();
-    s.range_joins = counters_.range_joins.Value();
-    s.loop_joins = counters_.loop_joins.Value();
-    return s;
-  }
-  void ResetStats() {
-    counters_.statements.Reset();
-    counters_.rows_materialized.Reset();
-    counters_.hash_joins.Reset();
-    counters_.range_joins.Reset();
-    counters_.loop_joins.Reset();
-  }
-
   /// Attaches a deadline/cancellation/budget context. Join and filter loops
   /// poll it per outer row; every materialized intermediate charges the row
   /// budget, and each FROM pipeline charges one table per joined input.
@@ -79,15 +53,6 @@ class Executor {
   void set_exec_context(ExecContext* ctx) { exec_ = ctx; }
 
  private:
-  /// Live counters behind ExecStats (folded into the obs layer in PR 3).
-  struct ExecCounters {
-    obs::Counter statements;
-    obs::Counter rows_materialized;
-    obs::Counter hash_joins;
-    obs::Counter range_joins;
-    obs::Counter loop_joins;
-  };
-
   Result<Table> ExecuteSelect(const SelectStmt& stmt);
 
   /// Poll + row-budget charge for one materialization step.
@@ -99,7 +64,6 @@ class Executor {
   }
 
   Catalog* catalog_;
-  ExecCounters counters_;
   ExecContext* exec_ = nullptr;  // Not owned; null means unlimited.
 };
 

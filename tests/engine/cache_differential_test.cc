@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/direct_engine.h"
-#include "engine/query_cache.h"
+#include "engine/result_cache.h"
 #include "engine/retrieval.h"
 #include "htl/classifier.h"
 #include "htl/fingerprint.h"
@@ -44,10 +46,11 @@ const ClassedQuery kQueries[] = {
      FormulaClass::kExtendedConjunctive},
 };
 
-struct ScopedMetrics {
-  ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(true); }
-  ~ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(false); }
-};
+// The cache counts only in the registry's cache.result.* counters, so tests
+// that count enable the registry and read deltas.
+using testing::CounterDelta;
+using testing::ResultCacheCounts;
+using testing::ScopedMetrics;
 
 void ExpectSameSegmentResults(const SegmentRetrieval& want,
                               const SegmentRetrieval& got,
@@ -107,6 +110,8 @@ class CacheDifferentialTest : public ::testing::Test {
 // fills, later runs hit — every run bit-identical to cold recomputation,
 // for every formula class and level.
 TEST_F(CacheDifferentialTest, WarmHitsMatchColdAcrossAllClasses) {
+  ScopedMetrics metrics;
+  ResultCacheCounts counts;
   Retriever cached = MakeCached();
   int64_t expected_hits = 0;
   int64_t expected_fills = 0;
@@ -133,14 +138,16 @@ TEST_F(CacheDifferentialTest, WarmHitsMatchColdAcrossAllClasses) {
     }
   }
   ASSERT_GT(expected_hits, 0) << "corpus produced no complete answers";
-  const cache::CacheStats stats = cached.caches()->result_stats();
-  EXPECT_EQ(stats.hits, expected_hits) << stats.ToString();
-  EXPECT_EQ(stats.fills, expected_fills) << stats.ToString();
-  EXPECT_EQ(stats.hits + stats.misses, 24) << stats.ToString();  // 4 x 2 x 3.
+  EXPECT_EQ(counts.hits.value(), expected_hits) << counts.ToString();
+  EXPECT_EQ(counts.fills.value(), expected_fills) << counts.ToString();
+  EXPECT_EQ(counts.hits.value() + counts.misses.value(), 24)  // 4 x 2 x 3.
+      << counts.ToString();
 }
 
 // Whole-video retrieval is the level-1 query: level 1 holds exactly the root.
 TEST_F(CacheDifferentialTest, LevelOneWarmHitsMatchCold) {
+  ScopedMetrics metrics;
+  CounterDelta hits("cache.result.hits");
   Retriever cached = MakeCached();
   for (const ClassedQuery& q : kQueries) {
     ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(q.text));
@@ -152,7 +159,7 @@ TEST_F(CacheDifferentialTest, LevelOneWarmHitsMatchCold) {
                                std::string(q.text) + " run " + std::to_string(run));
     }
   }
-  EXPECT_GT(cached.caches()->result_stats().hits, 0);
+  EXPECT_GT(hits.value(), 0);
 }
 
 // Appends interleaved with queries: every append changes the store's
@@ -160,6 +167,8 @@ TEST_F(CacheDifferentialTest, LevelOneWarmHitsMatchCold) {
 // must never serve a pre-append answer — each post-append query matches a
 // from-scratch cold retriever on the grown store.
 TEST_F(CacheDifferentialTest, MutationsInvalidateWarmEntries) {
+  ScopedMetrics metrics;
+  CounterDelta stale("cache.result.stale");
   Retriever cached = MakeCached();
   ASSERT_OK_AND_ASSIGN(FormulaPtr f, cached.Prepare(kQueries[1].text));
   Rng rng(7);
@@ -184,8 +193,7 @@ TEST_F(CacheDifferentialTest, MutationsInvalidateWarmEntries) {
   }
   // The post-append lookups found the warm-but-stale entries and evicted
   // them instead of serving them.
-  EXPECT_GT(cached.caches()->result_stats().stale, 0)
-      << cached.caches()->result_stats().ToString();
+  EXPECT_GT(stale.value(), 0);
 }
 
 // An append changes no earlier video, so it invalidates only the result
@@ -213,23 +221,24 @@ TEST_F(CacheDifferentialTest, AppendQueriesPicturesOfTheAppendedVideoOnly) {
   const int64_t appended_atoms = atomic_queries->Value() - before;
   ASSERT_GT(appended_atoms, 0);
 
-  const int64_t stale_before = cached.caches()->result_stats().stale;
+  CounterDelta stale("cache.result.stale");
   before = atomic_queries->Value();
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval got, cached.TopSegmentsWithReport(*f, 2, 10));
   EXPECT_EQ(atomic_queries->Value() - before, appended_atoms);
-  EXPECT_EQ(cached.caches()->result_stats().stale, stale_before + 1)
-      << cached.caches()->result_stats().ToString();
+  EXPECT_EQ(stale.value(), 1);
   ExpectSameSegmentResults(ColdAnswer(*f, 2), got, "after append");
 }
 
 // The caching layers compose with parallel execution: for worker counts 1,
 // 2 and 4, cold fills and warm hits both reproduce the serial cold answer.
 TEST_F(CacheDifferentialTest, ParallelismSweepMatchesSerialCold) {
+  ScopedMetrics metrics;
   for (const ClassedQuery& q : kQueries) {
     Retriever cold = MakeCold();
     ASSERT_OK_AND_ASSIGN(FormulaPtr f, cold.Prepare(q.text));
     ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, cold.TopSegmentsWithReport(*f, 2, 10));
     for (int workers : {1, 2, 4}) {
+      CounterDelta hits("cache.result.hits");
       Retriever cached = MakeCached(workers);
       for (int run = 0; run < 2; ++run) {
         ASSERT_OK_AND_ASSIGN(SegmentRetrieval got,
@@ -241,8 +250,7 @@ TEST_F(CacheDifferentialTest, ParallelismSweepMatchesSerialCold) {
       }
       // A complete answer fills on run 0 and hits on run 1; a partial one
       // is never cached and recomputes both times.
-      EXPECT_EQ(cached.caches()->result_stats().hits,
-                want.report.complete() ? 1 : 0);
+      EXPECT_EQ(hits.value(), want.report.complete() ? 1 : 0);
     }
   }
 }
@@ -250,6 +258,8 @@ TEST_F(CacheDifferentialTest, ParallelismSweepMatchesSerialCold) {
 // Eviction pressure: byte budgets far too small for the working set force
 // constant eviction; every answer still matches cold recomputation.
 TEST_F(CacheDifferentialTest, TinyBudgetsEvictButNeverCorrupt) {
+  ScopedMetrics metrics;
+  CounterDelta evictions("cache.result.evictions");
   QueryOptions options;
   options.cache_mode = CacheMode::kReadWrite;
   options.result_cache_bytes = 512;  // A couple of entries store-wide.
@@ -271,9 +281,8 @@ TEST_F(CacheDifferentialTest, TinyBudgetsEvictButNeverCorrupt) {
                                    std::to_string(i));
     }
   }
-  const cache::CacheStats stats = cached.caches()->result_stats();
-  EXPECT_GT(stats.evictions, 0) << stats.ToString();
-  EXPECT_LE(stats.bytes, options.result_cache_bytes) << stats.ToString();
+  EXPECT_GT(evictions.value(), 0);
+  EXPECT_LE(cached.cache()->bytes(), options.result_cache_bytes);
 }
 
 // One budget for the whole cache: answers whose total size fits
@@ -299,18 +308,18 @@ TEST_F(CacheDifferentialTest, AnswersThatFitTheBudgetAllStayResident) {
     }
   };
   ASSERT_NO_FATAL_FAILURE(run_all(roomy));
-  const cache::CacheStats roomy_stats = roomy.caches()->result_stats();
-  ASSERT_EQ(roomy_stats.entries, 16) << roomy_stats.ToString();
+  ASSERT_EQ(roomy.cache()->entries(), 16);
 
+  ScopedMetrics metrics;
+  CounterDelta evictions("cache.result.evictions");
   QueryOptions options;
   options.cache_mode = CacheMode::kReadWrite;
   options.parallelism = 1;
-  options.result_cache_bytes = roomy_stats.bytes;
+  options.result_cache_bytes = roomy.cache()->bytes();
   Retriever exact(&store_, options);
   ASSERT_NO_FATAL_FAILURE(run_all(exact));
-  const cache::CacheStats stats = exact.caches()->result_stats();
-  EXPECT_EQ(stats.entries, 16) << stats.ToString();
-  EXPECT_EQ(stats.evictions, 0) << stats.ToString();
+  EXPECT_EQ(exact.cache()->entries(), 16);
+  EXPECT_EQ(evictions.value(), 0);
 }
 
 // Commutative operand order canonicalizes into one cache key: `a and b`
@@ -322,6 +331,8 @@ TEST_F(CacheDifferentialTest, CommutativeOperandOrderSharesOneEntry) {
       "exists x (moving(x)) and exists y (type(y) = 'train')";
   constexpr const char* kBA =
       "exists y (type(y) = 'train') and exists x (moving(x))";
+  ScopedMetrics metrics;
+  CounterDelta hits("cache.result.hits");
   Retriever cached = MakeCached();
   ASSERT_OK_AND_ASSIGN(FormulaPtr ab, cached.Prepare(kAB));
   ASSERT_OK_AND_ASSIGN(FormulaPtr ba, cached.Prepare(kBA));
@@ -332,61 +343,73 @@ TEST_F(CacheDifferentialTest, CommutativeOperandOrderSharesOneEntry) {
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval second,
                        cached.TopSegmentsWithReport(*ba, 2, 10));
   ExpectSameSegmentResults(first, second, "swapped operands");
-  const cache::CacheStats stats = cached.caches()->result_stats();
-  EXPECT_EQ(stats.hits, 1) << stats.ToString();
-  EXPECT_EQ(stats.entries, 1) << stats.ToString();
+  EXPECT_EQ(hits.value(), 1);
+  EXPECT_EQ(cached.cache()->entries(), 1);
   // And the shared entry serves the cold answer, not merely *an* answer.
   ExpectSameSegmentResults(ColdAnswer(*ab, 2), second, "vs cold");
 }
 
-// The result cache's hit/miss/stale/fill/eviction counters reach the
-// process metrics registry one for one: an operator scraping
-// `cache.result.*` sees exactly what result_stats() counts.
+// The result cache counts only in the registry: each event moves its
+// cache.result.* counter by exactly one and leaves the others alone.
 TEST_F(CacheDifferentialTest, ResultCacheCountersReachTheRegistry) {
   ScopedMetrics metrics;
-  const char* kOutcomes[] = {"hits", "misses", "stale", "fills", "evictions"};
-  std::vector<obs::Counter*> counters;
-  std::vector<int64_t> before;
-  for (const char* outcome : kOutcomes) {
-    counters.push_back(obs::MetricsRegistry::Instance().GetCounter(
-        StrCat("cache.result.", outcome)));
-    before.push_back(counters.back()->Value());
-  }
-
   // k = 1 keeps every answer within one hit of the same size, so a budget
   // of the largest answer holds any one of them but never two: each fill
   // of a new key evicts the resident one.
   std::vector<FormulaPtr> formulas;
   int64_t largest = 0;
   for (const ClassedQuery& q : kQueries) {
-    Retriever cold = MakeCold();
-    ASSERT_OK_AND_ASSIGN(FormulaPtr f, cold.Prepare(q.text));
-    ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, cold.TopSegmentsWithReport(*f, 2, 1));
+    Retriever roomy = MakeCached();
+    ASSERT_OK_AND_ASSIGN(FormulaPtr f, roomy.Prepare(q.text));
+    ASSERT_OK_AND_ASSIGN(SegmentRetrieval want, roomy.TopSegmentsWithReport(*f, 2, 1));
     ASSERT_TRUE(want.report.complete()) << q.text;
-    largest = std::max(largest, CachedQueryResult{std::move(want)}.ByteSize());
+    largest = std::max(largest, roomy.cache()->bytes());
     formulas.push_back(std::move(f));
   }
   QueryOptions options;
   options.cache_mode = CacheMode::kReadWrite;
   options.result_cache_bytes = largest;
   Retriever cached(&store_, options);
-
-  ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Miss, fill.
-  ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Hit.
+  const auto expect_event = [&](const char* event, const Formula& f, const char* want) {
+    SCOPED_TRACE(event);
+    ResultCacheCounts counts;
+    ASSERT_OK(cached.TopSegmentsWithReport(f, 2, 1).status());
+    EXPECT_EQ(counts.ToString(), want);
+  };
+  expect_event("miss", *formulas[0],
+               "hits 0, misses 1, stale 0, fills 1, evictions 0, shared_waits 0");
+  expect_event("hit", *formulas[0],
+               "hits 1, misses 0, stale 0, fills 0, evictions 0, shared_waits 0");
   store_.AddVideo(VideoTree::Flat(1));
-  ASSERT_OK(cached.TopSegmentsWithReport(*formulas[0], 2, 1).status());  // Stale, fill.
-  for (size_t i = 1; i < formulas.size(); ++i) {  // Miss, fill, evict.
-    ASSERT_OK(cached.TopSegmentsWithReport(*formulas[i], 2, 1).status());
-  }
+  expect_event("stale", *formulas[0],
+               "hits 0, misses 1, stale 1, fills 1, evictions 0, shared_waits 0");
+  expect_event("eviction", *formulas[1],
+               "hits 0, misses 1, stale 0, fills 1, evictions 1, shared_waits 0");
+  EXPECT_EQ(cached.cache()->entries(), 1);
 
-  const cache::CacheStats stats = cached.caches()->result_stats();
-  const int64_t want[] = {stats.hits, stats.misses, stats.stale, stats.fills,
-                          stats.evictions};
-  for (size_t i = 0; i < counters.size(); ++i) {
-    SCOPED_TRACE(kOutcomes[i]);
-    EXPECT_GT(want[i], 0) << stats.ToString();
-    EXPECT_EQ(counters[i]->Value() - before[i], want[i]) << stats.ToString();
+  // A shared wait: two callers of one key, either of which may lead. The
+  // leader holds its cold run until both probes have missed, and a little
+  // longer so that the other caller joins the flight; a caller that arrives
+  // too late hits instead, so retry.
+  bool shared = false;
+  for (int attempt = 0; attempt < 20 && !shared; ++attempt) {
+    ResultCache cache(1 << 20);
+    ResultCacheCounts counts;
+    const ResultCache::Cold cold = [&]() -> Result<SegmentRetrieval> {
+      while (counts.misses.value() < 2) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return SegmentRetrieval{};
+    };
+    std::thread other([&] { EXPECT_OK(cache.GetOrRun("key", 1, nullptr, cold).status()); });
+    EXPECT_OK(cache.GetOrRun("key", 1, nullptr, cold).status());
+    other.join();
+    const std::string got = counts.ToString();
+    shared = counts.shared_waits.value() == 1;
+    EXPECT_TRUE(got == "hits 0, misses 2, stale 0, fills 1, evictions 0, shared_waits 1" ||
+                got == "hits 1, misses 2, stale 0, fills 1, evictions 0, shared_waits 0")
+        << got;
   }
+  EXPECT_TRUE(shared) << "no attempt produced a shared wait";
 }
 
 }  // namespace

@@ -254,25 +254,9 @@ TEST(EvaluateWithListsTest, UntilAndNextCompose) {
 }
 
 // DirectEngine counts its operations in the process-wide registry's
-// engine.* counters. The registry is off by default, so these tests enable
-// it, and they assert deltas because other tests share the counters.
-struct ScopedMetrics {
-  ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(true); }
-  ~ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(false); }
-};
-
-// Increments of one registry counter since construction.
-class CounterDelta {
- public:
-  explicit CounterDelta(std::string_view name)
-      : counter_(obs::MetricsRegistry::Instance().GetCounter(name)),
-        base_(counter_->Value()) {}
-  int64_t value() const { return counter_->Value() - base_; }
-
- private:
-  obs::Counter* counter_;
-  int64_t base_;
-};
+// engine.* counters.
+using testing::CounterDelta;
+using testing::ScopedMetrics;
 
 TEST(DirectEngineTest, StatsCountOperations) {
   ScopedMetrics metrics;

@@ -182,6 +182,28 @@ TEST(PictureSystemTest, BindingExplosionGuard) {
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
 }
 
+// A predicate's candidates come only from facts of its own arity: object 1
+// occurs only in near/2, so it is no candidate for near(x), and object 3 and
+// the wildcard make two bindings.
+TEST(PictureSystemTest, PredicateCandidatesComeFromFactsOfItsArity) {
+  VideoTree v = VideoTree::Flat(2);
+  const auto add_object = [&v](SegmentId s, ObjectId id) {
+    ObjectAppearance obj;
+    obj.id = id;
+    v.MutableMeta(2, s).AddObject(std::move(obj));
+  };
+  add_object(1, 3);
+  v.MutableMeta(2, 1).AddFact({"near", {3}});
+  add_object(2, 1);
+  add_object(2, 2);
+  v.MutableMeta(2, 2).AddFact({"near", {1, 2}});
+  PictureOptions opts;
+  opts.max_bindings = 2;
+  PictureSystem ps(&v, opts);
+  ASSERT_OK_AND_ASSIGN(SimilarityList list, ps.QueryClosed(2, Atomic("exists x (near(x))")));
+  EXPECT_TRUE(ListsEqual(list, L({{1, 1, 1.0}}, 1.0)));
+}
+
 TEST(PictureSystemTest, QueryClosedRejectsFreeVariables) {
   VideoTree v = MakeTestVideo();
   PictureSystem ps(&v);
@@ -284,9 +306,10 @@ TEST(LevelIndexTest, AttrValueIndex) {
 TEST(LevelIndexTest, FactPositionIndex) {
   VideoTree v = MakeTestVideo();
   const VideoStats index = VideoStats::Build(v);
-  EXPECT_EQ(index.ObjectsInFactPosition(2, "holds_gun", 0), std::vector<ObjectId>{2});
-  EXPECT_TRUE(index.ObjectsInFactPosition(2, "holds_gun", 1).empty());
-  EXPECT_TRUE(index.ObjectsInFactPosition(2, "nope", 0).empty());
+  EXPECT_EQ(Ids(index.ObjectsInFactPosition(2, "holds_gun", 1, 0)),
+            std::vector<ObjectId>{2});
+  EXPECT_TRUE(index.ObjectsInFactPosition(2, "holds_gun", 1, 1).empty());
+  EXPECT_TRUE(index.ObjectsInFactPosition(2, "nope", 1, 0).empty());
 }
 
 // Values match by AttrValue::operator==, not by their text: 0, 0.0 and
@@ -309,16 +332,19 @@ TEST(LevelIndexTest, ValuesMatchByEquality) {
   EXPECT_EQ(index.Values(2, VideoStats::Scope::kObject, "height").size(), 2u);
 }
 
-// Facts of one name and several arities share the (name, position) lookup,
-// and HasFact tells the arities apart, nullary included.
+// Facts of one name and several arities are kept apart: the position
+// lookup and HasFact both take the arity, nullary included.
 TEST(LevelIndexTest, FactArities) {
   VideoTree v = VideoTree::Flat(2);
   v.MutableMeta(2, 1).AddFact({"near", {3}});
   v.MutableMeta(2, 2).AddFact({"near", {1, 2}});
   v.MutableMeta(2, 2).AddFact({"dusk", {}});
   const VideoStats index = VideoStats::Build(v);
-  EXPECT_EQ(index.ObjectsInFactPosition(2, "near", 0), (std::vector<ObjectId>{1, 3}));
-  EXPECT_EQ(index.ObjectsInFactPosition(2, "near", 1), std::vector<ObjectId>{2});
+  EXPECT_EQ(Ids(index.ObjectsInFactPosition(2, "near", 1, 0)), std::vector<ObjectId>{3});
+  EXPECT_EQ(Ids(index.ObjectsInFactPosition(2, "near", 2, 0)), std::vector<ObjectId>{1});
+  EXPECT_EQ(Ids(index.ObjectsInFactPosition(2, "near", 2, 1)), std::vector<ObjectId>{2});
+  EXPECT_TRUE(index.ObjectsInFactPosition(2, "near", 1, 1).empty());
+  EXPECT_TRUE(index.ObjectsInFactPosition(2, "dusk", 0, 0).empty());
   EXPECT_TRUE(index.HasFact(2, "near", 1));
   EXPECT_TRUE(index.HasFact(2, "near", 2));
   EXPECT_FALSE(index.HasFact(2, "near", 3));

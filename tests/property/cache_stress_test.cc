@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "engine/exec_context.h"
-#include "engine/query_cache.h"
+#include "engine/result_cache.h"
 #include "engine/retrieval.h"
 #include "model/video.h"
 #include "testing/helpers.h"
@@ -30,6 +30,10 @@
 
 namespace htl {
 namespace {
+
+// The cache counts only in the registry, so the tests that count enable it.
+using testing::ResultCacheCounts;
+using testing::ScopedMetrics;
 
 bool IsSanctioned(const Status& s) {
   return s.ok() || s.code() == StatusCode::kDeadlineExceeded ||
@@ -59,6 +63,8 @@ const char* const kStressQueries[] = {
 
 TEST(CacheStressTest, RandomizedQueriesMutationsAndCancels) {
   FaultRegistry::Instance().DisableAll();
+  ScopedMetrics metrics;
+  ResultCacheCounts counts;
   MetadataStore store;
   Rng corpus_rng(515253);
   VideoGenOptions vopts;
@@ -160,8 +166,7 @@ TEST(CacheStressTest, RandomizedQueriesMutationsAndCancels) {
     ASSERT_OK_AND_ASSIGN(SegmentRetrieval got, shared.TopSegmentsWithReport(*q, 2, 6));
     EXPECT_TRUE(SameResults(want, got));
   }
-  const cache::CacheStats stats = shared.caches()->result_stats();
-  EXPECT_GT(stats.hits + stats.misses, 0) << stats.ToString();
+  EXPECT_GT(counts.hits.value() + counts.misses.value(), 0) << counts.ToString();
 }
 
 // The single-flight stampede: N threads fire the identical query at a cold
@@ -188,6 +193,8 @@ TEST(CacheStressTest, SingleFlightStampedeComputesOnce) {
   options.parallelism = 1;
   Retriever shared(&store, options);
 
+  ScopedMetrics metrics;
+  ResultCacheCounts counts;
   constexpr int kThreads = 8;
   std::atomic<int> ready{0};
   std::atomic<int> mismatches{0};
@@ -203,11 +210,11 @@ TEST(CacheStressTest, SingleFlightStampedeComputesOnce) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(mismatches.load(), 0);
-  const cache::CacheStats stats = shared.caches()->result_stats();
-  EXPECT_EQ(stats.fills, 1) << stats.ToString();
+  EXPECT_EQ(counts.fills.value(), 1) << counts.ToString();
   // Leader aside, each thread is either a flight waiter or a post-fill hit.
-  EXPECT_EQ(stats.hits + stats.shared_waits, kThreads - 1) << stats.ToString();
-  EXPECT_EQ(stats.entries, 1) << stats.ToString();
+  EXPECT_EQ(counts.hits.value() + counts.shared_waits.value(), kThreads - 1)
+      << counts.ToString();
+  EXPECT_EQ(shared.cache()->entries(), 1);
 }
 
 // A leader whose own deadline kills the compute must not poison the cache
@@ -266,7 +273,7 @@ TEST(CacheStressTest, FailedLeaderDoesNotPoisonWaiters) {
   // correct entry — never a doomed leader's residue.
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval after, shared.TopSegmentsWithReport(*query, 2, 6));
   EXPECT_TRUE(SameResults(want, after));
-  EXPECT_LE(shared.caches()->result_stats().entries, 1);
+  EXPECT_LE(shared.cache()->entries(), 1);
 }
 
 }  // namespace

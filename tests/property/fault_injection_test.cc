@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "engine/query_cache.h"
+#include "engine/result_cache.h"
 #include "engine/retrieval.h"
 #include "model/video.h"
 #include "net/client.h"
@@ -274,8 +274,7 @@ TEST_F(FaultInjectionTest, CacheFillFaultDegradesToBypassRecompute) {
     EXPECT_TRUE(out.report.complete()) << out.report.ToString();
   }
   FaultRegistry::Instance().DisableAll();
-  EXPECT_EQ(r.caches()->result_stats().entries, 0)
-      << "a faulted fill stored an entry";
+  EXPECT_EQ(r.cache()->entries(), 0) << "a faulted fill stored an entry";
 }
 
 // A lookup fault bypasses the cache (even a warm one) and recomputes; the
@@ -284,7 +283,7 @@ TEST_F(FaultInjectionTest, CacheLookupFaultBypassesButKeepsAnswersExact) {
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval cold, RunRetrieval(&store_));
   Retriever r(&store_, CachedOptions());
   ASSERT_OK(RunCached(r).status());  // Warm the cache while disarmed.
-  EXPECT_GT(r.caches()->result_stats().entries, 0);
+  EXPECT_GT(r.cache()->entries(), 0);
   FaultRegistry::Instance().Enable("cache.lookup", FaultSpec{});
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval out, RunCached(r));
   FaultRegistry::Instance().DisableAll();
@@ -304,8 +303,7 @@ TEST_F(FaultInjectionTest, PartialResultsAreNeverCached) {
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval partial, RunCached(r));
   FaultRegistry::Instance().DisableAll();
   EXPECT_EQ(partial.report.videos_failed, 1) << partial.report.ToString();
-  EXPECT_EQ(r.caches()->result_stats().entries, 0)
-      << "partial result was cached";
+  EXPECT_EQ(r.cache()->entries(), 0) << "partial result was cached";
 
   ASSERT_OK_AND_ASSIGN(SegmentRetrieval healed, RunCached(r));
   EXPECT_TRUE(healed.report.complete()) << healed.report.ToString();

@@ -6,8 +6,10 @@
 // videos), strict and degraded (pruning-invariant injected faults, blown
 // per-video budgets). The reports must also stay truthful: every video is
 // accounted for exactly once (evaluated, failed, or pruned), pruned videos
-// never appear in the top k, and a pruned run never fails or degrades a
-// video the unpruned run did not. Any divergence is shrunk to a minimal
+// never appear in the top k, a pruned run never fails or degrades a video
+// the unpruned run did not, and every pruned video's bound is below the k-th
+// hit's fraction minus kBoundSlack, which every sound pruning decision
+// guarantees wherever it is made. Any divergence is shrunk to a minimal
 // failing subformula before it is reported.
 //
 // Faults injected here must be pruning-invariant (their trigger count must
@@ -27,6 +29,7 @@
 #include "engine/exec_context.h"
 #include "engine/retrieval.h"
 #include "htl/binder.h"
+#include "htl/bound.h"
 #include "htl/classifier.h"
 #include "model/video.h"
 #include "testing/helpers.h"
@@ -104,7 +107,24 @@ std::string DescribeHits(const std::vector<SegmentHit>& hits) {
   return out.empty() ? "  (none)\n" : out;
 }
 
-::testing::AssertionResult SameOutcome(const Outcome& off, const Outcome& on) {
+// What the soundness check needs to recompute a pruned video's bound.
+struct BoundCheck {
+  const MetadataStore* store;
+  const Formula* formula;
+  int level;
+  int64_t k;
+  BoundOptions options;
+};
+
+BoundCheck MakeBoundCheck(const MetadataStore& store, const Formula& f, int level,
+                          const RunConfig& cfg) {
+  BoundOptions options;
+  options.fuzzy_and = cfg.and_semantics == AndSemantics::kFuzzyMin;
+  return BoundCheck{&store, &f, level, cfg.k, options};
+}
+
+::testing::AssertionResult SameOutcome(const Outcome& off, const Outcome& on,
+                                       const BoundCheck& check) {
   if (!(off.status == on.status)) {
     return ::testing::AssertionFailure()
            << "call status diverged: unpruned " << off.status.ToString()
@@ -189,16 +209,37 @@ std::string DescribeHits(const std::vector<SegmentHit>& hits) {
              << "video " << f.video << " reported both pruned and failed";
     }
   }
+
+  // A video may be skipped only once k hits beat its bound by the slack, so
+  // a run that pruned returned k hits, and the k-th of them beats every
+  // pruned video's bound.
+  if (pruned.empty()) return ::testing::AssertionSuccess();
+  if (static_cast<int64_t>(on.hits.size()) != check.k) {
+    return ::testing::AssertionFailure()
+           << "pruned " << pruned.size() << " videos but returned " << on.hits.size()
+           << " hits for k = " << check.k;
+  }
+  const double kth = on.hits.back().sim.fraction();
+  for (MetadataStore::VideoId v : pruned) {
+    const double ub = UpperBoundFraction(*check.formula, check.store->Video(v),
+                                         check.store->Stats(v), check.level, check.options);
+    if (!(ub < kth - kBoundSlack)) {
+      return ::testing::AssertionFailure()
+             << "pruned video " << v << " has bound " << ub
+             << ", not below the k-th hit's fraction " << kth << " minus kBoundSlack";
+    }
+  }
   return ::testing::AssertionSuccess();
 }
 
 ::testing::AssertionResult SameArms(const std::vector<Outcome>& off,
-                                    const std::vector<Outcome>& on) {
+                                    const std::vector<Outcome>& on,
+                                    const BoundCheck& check) {
   if (off.size() != on.size()) {
     return ::testing::AssertionFailure() << "run-count mismatch";
   }
   for (size_t i = 0; i < off.size(); ++i) {
-    ::testing::AssertionResult same = SameOutcome(off[i], on[i]);
+    ::testing::AssertionResult same = SameOutcome(off[i], on[i], check);
     if (!same) return ::testing::AssertionFailure() << "run " << i << ": "
                                                     << same.message();
   }
@@ -236,11 +277,12 @@ void ExpectPruningInvisible(const MetadataStore& store, const Formula& f, int le
                             const RunConfig& cfg, uint64_t seed) {
   auto diverges = [&](const Formula& g) {
     return !SameArms(RunArm(store, g, level, cfg, /*prune=*/false),
-                     RunArm(store, g, level, cfg, /*prune=*/true));
+                     RunArm(store, g, level, cfg, /*prune=*/true),
+                     MakeBoundCheck(store, g, level, cfg));
   };
   std::vector<Outcome> off = RunArm(store, f, level, cfg, /*prune=*/false);
   std::vector<Outcome> on = RunArm(store, f, level, cfg, /*prune=*/true);
-  ::testing::AssertionResult same = SameArms(off, on);
+  ::testing::AssertionResult same = SameArms(off, on, MakeBoundCheck(store, f, level, cfg));
   if (same) return;
   const Formula* minimal = ShrinkToMinimal(&f, diverges);
   ADD_FAILURE() << same.message() << "\nseed " << seed << "\nformula: "

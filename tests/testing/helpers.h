@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <initializer_list>
+#include <string>
+#include <string_view>
 
+#include "obs/metrics.h"
 #include "sim/sim_list.h"
 #include "util/result.h"
 #include "util/string_util.h"
@@ -65,6 +69,43 @@ inline ::testing::AssertionResult ListsNear(const SimilarityList& got,
   }
   return ::testing::AssertionSuccess();
 }
+
+/// Enables the process-wide metrics registry for one scope. The registry is
+/// off by default, and other tests share its counters, so tests read them
+/// as CounterDelta values.
+struct ScopedMetrics {
+  ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(true); }
+  ~ScopedMetrics() { obs::MetricsRegistry::Instance().SetEnabled(false); }
+};
+
+/// Increments of one registry counter since construction.
+class CounterDelta {
+ public:
+  explicit CounterDelta(std::string_view name)
+      : counter_(obs::MetricsRegistry::Instance().GetCounter(name)),
+        base_(counter_->Value()) {}
+  int64_t value() const { return counter_->Value() - base_; }
+
+ private:
+  obs::Counter* counter_;
+  int64_t base_;
+};
+
+/// Registry deltas of the result cache's six counters since construction.
+struct ResultCacheCounts {
+  CounterDelta hits{"cache.result.hits"};
+  CounterDelta misses{"cache.result.misses"};
+  CounterDelta stale{"cache.result.stale"};
+  CounterDelta fills{"cache.result.fills"};
+  CounterDelta evictions{"cache.result.evictions"};
+  CounterDelta shared_waits{"cache.result.shared_waits"};
+
+  std::string ToString() const {
+    return StrCat("hits ", hits.value(), ", misses ", misses.value(), ", stale ",
+                  stale.value(), ", fills ", fills.value(), ", evictions ",
+                  evictions.value(), ", shared_waits ", shared_waits.value());
+  }
+};
 
 inline std::string ErrorText(const Status& s) { return s.ToString(); }
 template <typename T>

@@ -67,20 +67,6 @@ src/ layout conventions.
                     the drain path's cross-thread shutdown (DESIGN.md "Query
                     service"). An ad-hoc socket can block forever and is
                     invisible to graceful drain.
-  prune-differential
-                    While the bound derivation (src/htl/bound.h) exists, its
-                    proof obligations must exist with it: the differential
-                    battery (tests/property/prune_differential_test.cc) and
-                    the soundness property test
-                    (tests/property/bound_soundness_test.cc), each still
-                    referencing the load-bearing symbols (UpperBoundFraction,
-                    VideoStats, videos_pruned, ...). The symbol list is
-                    drift-checked against the declaring headers, and any src/
-                    file referencing UpperBoundFraction outside the known
-                    pruning surfaces is a finding: a new caller is a new
-                    pruning decision and belongs in the battery
-                    (CONTRIBUTING.md ground rule). Repo-level and not
-                    suppressible.
   stale-suppression `// htl-lint: allow(<rule>)` comments that no longer
                     suppress anything (the rule never fires there, is unknown,
                     or is not in scope for the file) are findings themselves:
@@ -120,7 +106,6 @@ ALL_RULES = {
     "no-raw-thread",
     "no-raw-mutex",
     "no-raw-socket",
-    "prune-differential",
     "stale-suppression",
 }
 
@@ -475,96 +460,6 @@ def check_exec_context_polling(lint: FileLint, code: str) -> None:
             "see CONTRIBUTING.md")
 
 
-# Bound-based pruning's proof obligations (CONTRIBUTING.md ground rule):
-# while the bound derivation exists, the differential battery and the
-# soundness property test must exist with it, each still exercising the
-# load-bearing symbols. Each symbol is drift-checked against its declaring
-# header first, so a rename fails loudly here instead of letting the rule
-# rot into a vacuous pass.
-PRUNE_BOUND_HEADER = "src/htl/bound.h"
-# symbol -> (declaring file, proof file that must reference it).
-PRUNE_SYMBOLS = {
-    "UpperBoundFraction": ("src/htl/bound.h",
-                           "tests/property/bound_soundness_test.cc"),
-    "kBoundSlack": ("src/htl/bound.h",
-                    "tests/property/bound_soundness_test.cc"),
-    "VideoStats": ("src/model/video_stats.h",
-                   "tests/property/bound_soundness_test.cc"),
-    "videos_pruned": ("src/engine/retrieval.h",
-                      "tests/property/prune_differential_test.cc"),
-    "pruned_videos": ("src/engine/retrieval.h",
-                      "tests/property/prune_differential_test.cc"),
-    "prune": ("src/engine/query_options.h",
-              "tests/property/prune_differential_test.cc"),
-}
-# Every src/ file allowed to reference the bound derivation. A new caller is
-# a new pruning decision: add it here AND cover it in the battery.
-PRUNE_KNOWN_SURFACES = {
-    "src/htl/bound.h",
-    "src/htl/bound.cc",
-    "src/engine/retrieval.cc",
-}
-
-
-def check_prune_differential() -> list[Finding]:
-    """Repo-level rule: the pruning proof files exist and still exercise the
-    load-bearing symbols; no pruning surface outside the known set. Not
-    suppressible."""
-    header = REPO_ROOT / PRUNE_BOUND_HEADER
-    if not header.exists():
-        return []
-    findings: list[Finding] = []
-
-    proof_files = sorted({proof for _, proof in PRUNE_SYMBOLS.values()})
-    proof_code: dict[str, str] = {}
-    for rel in proof_files:
-        path = REPO_ROOT / rel
-        if not path.exists():
-            findings.append(Finding(
-                header, 1, "prune-differential",
-                f"pruning proof file {rel} is missing; the bound derivation "
-                "ships only with its differential battery and soundness test "
-                "(CONTRIBUTING.md)"))
-            continue
-        proof_code[rel] = strip_comments_and_strings(
-            path.read_text(encoding="utf-8"))
-
-    for symbol, (declaring, proof) in sorted(PRUNE_SYMBOLS.items()):
-        decl_path = REPO_ROOT / declaring
-        pattern = rf"\b{re.escape(symbol)}\b"
-        if not decl_path.exists() or not re.search(
-                pattern,
-                strip_comments_and_strings(decl_path.read_text(encoding="utf-8"))):
-            findings.append(Finding(
-                header, 1, "prune-differential",
-                f"symbol {symbol} no longer appears in {declaring}; the "
-                "prune-differential symbol list in tools/lint.py has drifted "
-                "— update it alongside the rename"))
-            continue
-        if proof in proof_code and not re.search(pattern, proof_code[proof]):
-            findings.append(Finding(
-                header, 1, "prune-differential",
-                f"{proof} never references {symbol}; the proof file has "
-                "stopped exercising the pruning surface it exists for"))
-
-    surface_re = re.compile(r"\bUpperBoundFraction\b")
-    for path in sorted((REPO_ROOT / "src").rglob("*")):
-        if path.suffix not in SOURCE_EXTS:
-            continue
-        rel = rel_posix(path)
-        if rel in PRUNE_KNOWN_SURFACES:
-            continue
-        code = strip_comments_and_strings(path.read_text(encoding="utf-8"))
-        if surface_re.search(code):
-            findings.append(Finding(
-                path, 1, "prune-differential",
-                "new caller of UpperBoundFraction outside the known pruning "
-                "surfaces; every pruning decision must be covered by the "
-                "differential battery — add the file to PRUNE_KNOWN_SURFACES "
-                "in tools/lint.py and extend the battery"))
-    return findings
-
-
 def check_stale_suppressions(lint: FileLint) -> None:
     """Every allow() mention must have suppressed a real would-be finding in
     this run; the rest are stale waivers (or typos) and get reported."""
@@ -637,7 +532,6 @@ def main(argv: list[str]) -> int:
     findings: list[Finding] = []
     for f in files:
         findings.extend(lint_file(f))
-    findings.extend(check_prune_differential())
 
     for finding in findings:
         print(finding)
