@@ -6,10 +6,14 @@
 //              cache-off retriever — the hand-rolled retrieval loop with no
 //              result-cache wrapper at all (the pre-cache code shape);
 //   off        TopSegmentsWithReport with cache_mode=kOff — the default
-//              configuration every existing caller runs;
+//              cache configuration;
 //   miss       cache_mode=kReadWrite with the cache cleared before every
 //              query — lookup miss + recompute + fill (the worst case);
 //   warm       cache_mode=kReadWrite, warmed once — every query a hit.
+//
+// Every arm runs serially: the retrievers are built with parallelism = 1,
+// as the handroll loop evaluates one video after another, so the off arm
+// differs from handroll only by the code around the loop.
 //
 // Gates (binary exits non-zero on failure, so CI runs it directly):
 //   * warm speedup: off / warm >= 5x   (HTL_CACHE_SPEEDUP_MIN overrides)
@@ -68,9 +72,11 @@ int main() {
   for (int i = 0; i < 16; ++i) store.AddVideo(GenerateVideo(rng, opts));
 
   QueryOptions off_options;  // cache_mode defaults to kOff.
+  off_options.parallelism = 1;
   Retriever r_off(&store, off_options);
   QueryOptions rw_options;
   rw_options.cache_mode = CacheMode::kReadWrite;
+  rw_options.parallelism = 1;
   Retriever r_miss(&store, rw_options);
   Retriever r_warm(&store, rw_options);
 

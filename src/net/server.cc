@@ -117,6 +117,13 @@ QueryServer::QueryServer(const MetadataStore* store, ServerOptions options)
       obs::Histogram::ExponentialBounds(100, 2.0, 18));
   encode_us_ = metrics.GetHistogram(
       "net.request.encode_us", obs::Histogram::ExponentialBounds(10, 2.0, 18));
+
+  for (int index = 0; index < 4; ++index) {
+    QueryOptions opts = options_.query_options;
+    opts.cache_mode = index >= 2 ? CacheMode::kReadWrite : CacheMode::kOff;
+    if (index % 2 == 1) opts.parallelism = 1;
+    retrievers_[index] = std::make_unique<Retriever>(store_, opts);
+  }
 }
 
 QueryServer::~QueryServer() {
@@ -568,18 +575,6 @@ QueryResponse QueryServer::HandleSql(const QueryRequest& request,
   ctx->set_trace(saved);
   if (profile != nullptr) *profile = trace.Finish();
   return response;
-}
-
-Retriever* QueryServer::RetrieverFor(bool use_cache, bool serial) {
-  const int index = (use_cache ? 2 : 0) + (serial ? 1 : 0);
-  MutexLock lock(&retrievers_mu_);
-  if (retrievers_[index] == nullptr) {
-    QueryOptions opts = options_.query_options;
-    opts.cache_mode = use_cache ? CacheMode::kReadWrite : CacheMode::kOff;
-    if (serial) opts.parallelism = 1;
-    retrievers_[index] = std::make_unique<Retriever>(store_, opts);
-  }
-  return retrievers_[index].get();
 }
 
 void QueryServer::AdminLoop() {

@@ -255,9 +255,11 @@ class QueryServer {
   static void FillReport(const RetrievalReport& report, bool want_profile,
                          QueryResponse* response);
 
-  /// The lazily built Retriever for (use_cache, serial) — at most four
-  /// instances, shared by all sessions (Retriever is concurrency-safe).
-  Retriever* RetrieverFor(bool use_cache, bool serial);
+  /// The Retriever for (use_cache, serial): one of four built with the
+  /// server and shared by all sessions (Retriever is concurrency-safe).
+  Retriever* RetrieverFor(bool use_cache, bool serial) const {
+    return retrievers_[(use_cache ? 2 : 0) + (serial ? 1 : 0)].get();
+  }
 
   /// Best-effort error/overload response write (transport failures are
   /// swallowed — the peer is already gone).
@@ -304,8 +306,9 @@ class QueryServer {
   /// Live sessions currently past the watchdog bound (flag set in live_).
   int64_t stalled_sessions_ HTL_GUARDED_BY(mu_) = 0;
 
-  Mutex retrievers_mu_;
-  std::unique_ptr<Retriever> retrievers_[4] HTL_GUARDED_BY(retrievers_mu_);
+  /// Indexed (use_cache ? 2 : 0) + (serial ? 1 : 0); built by the
+  /// constructor and read-only after it.
+  std::unique_ptr<Retriever> retrievers_[4];
 
   // Metric cells resolved once (stable pointers, lock-free to bump).
   obs::Counter* accepted_ = nullptr;

@@ -18,7 +18,6 @@ std::string Expr::ToString() const {
       return StrCat("(", args[0]->ToString(), " ", op, " ", args[1]->ToString(), ")");
     case ExprKind::kFunction:
     case ExprKind::kAggregate: {
-      if (count_star) return "count(*)";
       std::string inner;
       for (size_t i = 0; i < args.size(); ++i) {
         if (i) inner += ", ";

@@ -2,7 +2,6 @@
 #define HTL_SQL_AST_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,8 +18,8 @@ enum class ExprKind {
   kStar,       // * (select list only)
   kUnary,      // -x, NOT x
   kBinary,     // arithmetic, comparison, AND, OR
-  kFunction,   // LEAST, GREATEST, COALESCE, ABS
-  kAggregate,  // COUNT, SUM, MIN, MAX, AVG
+  kFunction,   // LEAST, GREATEST, COALESCE
+  kAggregate,  // MAX
   kIsNull,     // x IS [NOT] NULL
 };
 
@@ -33,7 +32,6 @@ struct Expr {
   std::string op;                // kUnary/kBinary: "-","not","+","*","/","=","!=",
                                  // "<","<=",">",">=","and","or"
   std::string fn;                // kFunction/kAggregate name, lower-cased
-  bool count_star = false;       // COUNT(*)
   bool is_not_null = false;      // kIsNull: IS NOT NULL
   std::vector<ExprPtr> args;
 
@@ -58,43 +56,28 @@ struct TableRef {
   ExprPtr on;  // Null for kCross.
 };
 
-struct OrderItem {
-  ExprPtr expr;  // Resolved against the output columns.
-  bool desc = false;
-};
-
-/// SELECT [DISTINCT] ... FROM ... [WHERE] [GROUP BY] [HAVING] [ORDER BY]
-/// [LIMIT] [UNION ALL SELECT ...]. BETWEEN and IN are desugared by the
-/// parser into comparison/boolean trees.
+/// SELECT [DISTINCT] ... FROM ... [WHERE] [GROUP BY] [UNION ALL SELECT ...].
 struct SelectStmt {
   bool distinct = false;
   std::vector<SelectItem> items;
   std::vector<TableRef> from;  // Empty FROM allowed (SELECT 1).
   ExprPtr where;
   std::vector<ExprPtr> group_by;
-  ExprPtr having;
-  std::vector<OrderItem> order_by;
-  std::optional<int64_t> limit;
   std::unique_ptr<SelectStmt> union_all;  // Chained UNION ALL branch.
 };
 
-/// One SQL statement of the supported subset.
+/// One statement of the dialect the HTL translator writes.
 struct Statement {
   enum class Kind {
     kSelect,         // SELECT ...
     kCreateTableAs,  // CREATE TABLE t AS SELECT ...
-    kCreateTable,    // CREATE TABLE t (c1, c2, ...)
     kDropTable,      // DROP TABLE [IF EXISTS] t
-    kInsertValues,   // INSERT INTO t VALUES (...), (...)
-    kInsertSelect,   // INSERT INTO t SELECT ...
   };
 
   Kind kind = Kind::kSelect;
-  std::string table;                        // Target for create/drop/insert.
-  std::vector<std::string> columns;         // kCreateTable column names.
-  std::vector<std::vector<ExprPtr>> values; // kInsertValues rows.
-  std::unique_ptr<SelectStmt> select;       // Select-bearing kinds.
-  bool if_exists = false;                   // DROP TABLE IF EXISTS.
+  std::string table;                   // Target for create/drop.
+  std::unique_ptr<SelectStmt> select;  // kSelect and kCreateTableAs.
+  bool if_exists = false;              // DROP TABLE IF EXISTS.
 };
 
 }  // namespace htl::sql

@@ -1,9 +1,9 @@
 #include "sql/executor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,17 +62,11 @@ struct BoundExpr {
   std::vector<BoundExpr> args;
 };
 
-// An aggregate call discovered in a select/having expression.
-struct AggSpec {
-  std::string fn;       // count/sum/min/max/avg
-  bool count_star = false;
-  BoundExpr arg;        // Valid unless count_star.
-};
-
 struct BindContext {
   const Schema* schema = nullptr;
-  // When non-null, aggregate calls are allowed and collected here.
-  std::vector<AggSpec>* aggs = nullptr;
+  // When non-null, MAX calls are allowed and their bound arguments are
+  // collected here, one aggregate slot each.
+  std::vector<BoundExpr>* aggs = nullptr;
 };
 
 Result<BoundExpr> BindExpr(const Expr& e, const BindContext& ctx) {
@@ -119,20 +113,15 @@ Result<BoundExpr> BindExpr(const Expr& e, const BindContext& ctx) {
         return Status::InvalidArgument(
             StrCat("aggregate ", e.fn, "() not allowed in this clause"));
       }
-      AggSpec spec;
-      spec.fn = e.fn;
-      spec.count_star = e.count_star;
-      if (!e.count_star) {
-        if (e.args.size() != 1) {
-          return Status::InvalidArgument(StrCat(e.fn, "() takes one argument"));
-        }
-        BindContext inner = ctx;
-        inner.aggs = nullptr;  // No nested aggregates.
-        HTL_ASSIGN_OR_RETURN(spec.arg, BindExpr(*e.args[0], inner));
+      if (e.args.size() != 1) {
+        return Status::InvalidArgument(StrCat(e.fn, "() takes one argument"));
       }
+      BindContext inner = ctx;
+      inner.aggs = nullptr;  // No nested aggregates.
+      HTL_ASSIGN_OR_RETURN(BoundExpr arg, BindExpr(*e.args[0], inner));
       b.kind = BKind::kAggSlot;
       b.index = static_cast<int>(ctx.aggs->size());
-      ctx.aggs->push_back(std::move(spec));
+      ctx.aggs->push_back(std::move(arg));
       return b;
     }
     case ExprKind::kIsNull: {
@@ -173,12 +162,6 @@ Value EvalBound(const BoundExpr& e, const Row& row, const std::vector<Value>* ag
           Value v = EvalBound(a, row, aggs);
           if (!v.is_null()) return v;
         }
-        return Value::Null();
-      }
-      if (e.fn == "abs") {
-        Value v = EvalBound(e.args[0], row, aggs);
-        if (v.is_int()) return Value(std::abs(v.AsInt()));
-        if (v.is_double()) return Value(std::fabs(v.AsDouble()));
         return Value::Null();
       }
       // least / greatest: NULL if any argument is NULL (SQL semantics).
@@ -266,56 +249,11 @@ BoundExpr Rebase(const BoundExpr& e, int w) {
   return out;
 }
 
-struct Aggregator {
-  int64_t count = 0;
-  double sum = 0;
-  bool sum_is_int = true;
-  int64_t sum_int = 0;
-  Value min, max;
-
-  void Add(const Value& v) {
-    if (v.is_null()) return;
-    ++count;
-    if (v.is_numeric()) {
-      sum += v.AsDouble();
-      if (v.is_int()) {
-        sum_int += v.AsInt();
-      } else {
-        sum_is_int = false;
-      }
-    } else {
-      sum_is_int = false;
-    }
-    if (min.is_null() || Value::Compare(v, min) < 0) min = v;
-    if (max.is_null() || Value::Compare(v, max) > 0) max = v;
-  }
-
-  Value Finish(const std::string& fn) const {
-    if (fn == "count") return Value(count);
-    if (count == 0) return Value::Null();
-    if (fn == "sum") return sum_is_int ? Value(sum_int) : Value(sum);
-    if (fn == "avg") return Value(sum / static_cast<double>(count));
-    if (fn == "min") return min;
-    if (fn == "max") return max;
-    return Value::Null();
-  }
-};
-
 }  // namespace
 
 Result<Table> Executor::ExecuteSql(std::string_view text) {
   HTL_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
   return Execute(stmt);
-}
-
-Result<Table> Executor::ExecuteScript(std::string_view text) {
-  HTL_ASSIGN_OR_RETURN(std::vector<Statement> stmts, ParseScript(text));
-  Table last;
-  for (const Statement& s : stmts) {
-    HTL_ASSIGN_OR_RETURN(Table t, Execute(s));
-    if (s.kind == Statement::Kind::kSelect) last = std::move(t);
-  }
-  return last;
 }
 
 Status Executor::ChargeRows(int64_t n) {
@@ -340,46 +278,8 @@ Result<Table> Executor::Execute(const Statement& stmt) {
       HTL_RETURN_IF_ERROR(catalog_->Create(stmt.table, std::move(t)));
       return Table();
     }
-    case Statement::Kind::kCreateTable: {
-      HTL_RETURN_IF_ERROR(catalog_->Create(stmt.table, Table(stmt.columns)));
-      return Table();
-    }
     case Statement::Kind::kDropTable: {
       HTL_RETURN_IF_ERROR(catalog_->Drop(stmt.table, stmt.if_exists));
-      return Table();
-    }
-    case Statement::Kind::kInsertValues: {
-      HTL_ASSIGN_OR_RETURN(const Table* target, catalog_->Get(stmt.table));
-      Table copy = *target;
-      Schema empty_schema;
-      BindContext ctx{&empty_schema, nullptr};
-      for (const auto& row_exprs : stmt.values) {
-        if (row_exprs.size() != copy.columns().size()) {
-          return Status::InvalidArgument(
-              StrCat("INSERT arity mismatch for table '", stmt.table, "'"));
-        }
-        Row row;
-        row.reserve(row_exprs.size());
-        for (const auto& e : row_exprs) {
-          HTL_ASSIGN_OR_RETURN(BoundExpr b, BindExpr(*e, ctx));
-          row.push_back(EvalBound(b, {}, nullptr));
-        }
-        copy.AddRow(std::move(row));
-      }
-      HTL_OBS_COUNT("sql.rows_materialized", static_cast<int64_t>(stmt.values.size()));
-      catalog_->CreateOrReplace(stmt.table, std::move(copy));
-      return Table();
-    }
-    case Statement::Kind::kInsertSelect: {
-      HTL_ASSIGN_OR_RETURN(Table produced, ExecuteSelect(*stmt.select));
-      HTL_ASSIGN_OR_RETURN(const Table* target, catalog_->Get(stmt.table));
-      if (produced.columns().size() != target->columns().size()) {
-        return Status::InvalidArgument(
-            StrCat("INSERT SELECT arity mismatch for table '", stmt.table, "'"));
-      }
-      Table copy = *target;
-      for (Row& r : produced.mutable_rows()) copy.AddRow(std::move(r));
-      catalog_->CreateOrReplace(stmt.table, std::move(copy));
       return Table();
     }
   }
@@ -642,23 +542,13 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
   for (size_t i = 0; i < items.size(); ++i) out_cols.push_back(output_name(items[i], i));
   Table out(out_cols);
 
-  std::vector<AggSpec> aggs;
+  std::vector<BoundExpr> aggs;  // The argument of each MAX, by slot.
   BindContext agg_ctx{&schema, &aggs};
   std::vector<BoundExpr> bound_items;
   for (const auto& si : items) {
     HTL_ASSIGN_OR_RETURN(BoundExpr b, BindExpr(*si.first, agg_ctx));
     bound_items.push_back(std::move(b));
   }
-  BoundExpr bound_having;
-  bool has_having = false;
-  if (stmt.having) {
-    HTL_ASSIGN_OR_RETURN(bound_having, BindExpr(*stmt.having, agg_ctx));
-    has_having = true;
-  }
-
-  // Input rows (or group representatives) kept parallel to the output rows
-  // so ORDER BY can reference non-projected input columns.
-  std::vector<Row> order_inputs;
 
   const bool aggregate_query = !aggs.empty() || !stmt.group_by.empty();
   if (aggregate_query) {
@@ -670,7 +560,7 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
     }
     struct Group {
       Row representative;
-      std::vector<Aggregator> accs;
+      std::vector<Value> maxes;  // One per aggregate slot; NULL until a value.
     };
     std::map<std::string, Group> groups;
     for (const Row& r : work) {
@@ -680,13 +570,13 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
       auto [it, inserted] = groups.try_emplace(key);
       if (inserted) {
         it->second.representative = r;
-        it->second.accs.resize(aggs.size());
+        it->second.maxes.resize(aggs.size());
       }
       for (size_t i = 0; i < aggs.size(); ++i) {
-        if (aggs[i].count_star) {
-          it->second.accs[i].Add(Value(1));
-        } else {
-          it->second.accs[i].Add(EvalBound(aggs[i].arg, r, nullptr));
+        Value v = EvalBound(aggs[i], r, nullptr);
+        Value& max = it->second.maxes[i];
+        if (!v.is_null() && (max.is_null() || Value::Compare(v, max) > 0)) {
+          max = std::move(v);
         }
       }
     }
@@ -694,26 +584,16 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
     if (groups.empty() && stmt.group_by.empty()) {
       Group g;
       g.representative.resize(schema.cols.size());
-      g.accs.resize(aggs.size());
+      g.maxes.resize(aggs.size());
       groups.emplace("", std::move(g));
     }
     for (const auto& [key, g] : groups) {
-      std::vector<Value> agg_values;
-      agg_values.reserve(aggs.size());
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        agg_values.push_back(g.accs[i].Finish(aggs[i].fn));
-      }
-      if (has_having &&
-          !EvalBound(bound_having, g.representative, &agg_values).Truthy()) {
-        continue;
-      }
       Row out_row;
       out_row.reserve(bound_items.size());
       for (const BoundExpr& b : bound_items) {
-        out_row.push_back(EvalBound(b, g.representative, &agg_values));
+        out_row.push_back(EvalBound(b, g.representative, &g.maxes));
       }
       out.AddRow(std::move(out_row));
-      order_inputs.push_back(g.representative);
     }
   } else {
     for (const Row& r : work) {
@@ -721,7 +601,6 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
       out_row.reserve(bound_items.size());
       for (const BoundExpr& b : bound_items) out_row.push_back(EvalBound(b, r, nullptr));
       out.AddRow(std::move(out_row));
-      order_inputs.push_back(r);
     }
   }
   HTL_OBS_COUNT("sql.rows_materialized", out.num_rows());
@@ -729,69 +608,14 @@ Result<Table> Executor::ExecuteSelect(const SelectStmt& stmt) {
 
   // ---- DISTINCT -------------------------------------------------------------
   if (stmt.distinct) {
-    std::unordered_map<std::string, bool> seen;
+    std::unordered_set<std::string> seen;
     std::vector<Row> rows;
-    std::vector<Row> inputs;
-    for (size_t i = 0; i < out.rows().size(); ++i) {
+    for (Row& r : out.mutable_rows()) {
       std::string key;
-      for (const Value& v : out.rows()[i]) key += v.Key() + "|";
-      if (seen.emplace(std::move(key), true).second) {
-        rows.push_back(std::move(out.mutable_rows()[i]));
-        inputs.push_back(std::move(order_inputs[i]));
-      }
+      for (const Value& v : r) key += v.Key() + "|";
+      if (seen.insert(std::move(key)).second) rows.push_back(std::move(r));
     }
     out.mutable_rows() = std::move(rows);
-    order_inputs = std::move(inputs);
-  }
-
-  // ---- ORDER BY / LIMIT ----------------------------------------------------
-  if (!stmt.order_by.empty()) {
-    // Each order item binds against the output columns when possible
-    // (unqualified aliases), otherwise against the input schema — so
-    // "ORDER BY age" works without projecting age, and "ORDER BY p.id"
-    // works with qualified names.
-    Schema out_schema;
-    for (const std::string& c : out.columns()) {
-      out_schema.cols.push_back(SchemaCol{"", c});
-    }
-    BindContext octx{&out_schema, nullptr};
-    BindContext ictx{&schema, nullptr};
-    struct OrderKey {
-      BoundExpr expr;
-      bool from_input = false;
-      bool desc = false;
-    };
-    std::vector<OrderKey> order;
-    for (const OrderItem& oi : stmt.order_by) {
-      Result<BoundExpr> b = BindExpr(*oi.expr, octx);
-      if (b.ok()) {
-        order.push_back(OrderKey{std::move(b).value(), false, oi.desc});
-        continue;
-      }
-      HTL_ASSIGN_OR_RETURN(BoundExpr ib, BindExpr(*oi.expr, ictx));
-      order.push_back(OrderKey{std::move(ib), true, oi.desc});
-    }
-    HTL_CHECK_EQ(order_inputs.size(), out.rows().size());
-    std::vector<size_t> perm(out.rows().size());
-    for (size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-    std::stable_sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
-      for (const OrderKey& k : order) {
-        const Row& ra = k.from_input ? order_inputs[a] : out.rows()[a];
-        const Row& rb = k.from_input ? order_inputs[b] : out.rows()[b];
-        const int cmp = Value::Compare(EvalBound(k.expr, ra, nullptr),
-                                       EvalBound(k.expr, rb, nullptr));
-        if (cmp != 0) return k.desc ? cmp > 0 : cmp < 0;
-      }
-      return false;
-    });
-    std::vector<Row> sorted;
-    sorted.reserve(perm.size());
-    for (size_t i : perm) sorted.push_back(std::move(out.mutable_rows()[i]));
-    out.mutable_rows() = std::move(sorted);
-  }
-  if (stmt.limit.has_value() &&
-      out.num_rows() > *stmt.limit) {
-    out.mutable_rows().resize(static_cast<size_t>(*stmt.limit));
   }
 
   // ---- UNION ALL ------------------------------------------------------------

@@ -13,9 +13,11 @@ namespace htl::sql {
 
 /// Executes parsed statements against a catalog. The execution model is the
 /// classic materializing interpreter: every SELECT fully materializes its
-/// FROM pipeline (left-deep joins), then filters, aggregates, sorts — the
+/// FROM pipeline (left-deep joins), then filters and aggregates — the
 /// per-query overhead and large intermediates are exactly what the paper's
-/// SQL-based approach pays on a commercial RDBMS.
+/// SQL-based approach pays on a commercial RDBMS. The statements are the
+/// dialect TranslateToSql writes (see sql/ast.h); tables are loaded through
+/// the Catalog, not by SQL.
 ///
 /// Join strategy per JOIN ... ON:
 ///   * hash join when some conjunct is `inner_expr = outer_expr` with each
@@ -34,16 +36,12 @@ class Executor {
   /// `catalog` must outlive the executor.
   explicit Executor(Catalog* catalog) : catalog_(catalog) {}
 
-  /// Runs one statement. SELECT returns its result table; DDL/DML return an
-  /// empty table.
+  /// Runs one statement. SELECT returns its result table; CREATE TABLE AS
+  /// and DROP TABLE return an empty table.
   Result<Table> Execute(const Statement& stmt);
 
   /// Parses and runs one statement.
   Result<Table> ExecuteSql(std::string_view text);
-
-  /// Parses and runs a script; returns the last SELECT's result (or an
-  /// empty table when the script has none).
-  Result<Table> ExecuteScript(std::string_view text);
 
   /// Attaches a deadline/cancellation/budget context. Join and filter loops
   /// poll it per outer row; every materialized intermediate charges the row

@@ -1,6 +1,6 @@
 #include "sql/parser.h"
 
-#include <optional>
+#include <algorithm>
 
 #include "sql/lexer.h"
 #include "util/string_util.h"
@@ -10,13 +10,7 @@ namespace htl::sql {
 namespace {
 
 bool IsFunctionName(const std::string& lower) {
-  return lower == "least" || lower == "greatest" || lower == "coalesce" ||
-         lower == "abs";
-}
-
-bool IsAggregateName(const std::string& lower) {
-  return lower == "count" || lower == "sum" || lower == "min" || lower == "max" ||
-         lower == "avg";
+  return lower == "least" || lower == "greatest" || lower == "coalesce";
 }
 
 class Parser {
@@ -45,9 +39,7 @@ class Parser {
   }
 
  private:
-  const Tok& Peek(size_t ahead = 0) const {
-    return toks_[std::min(pos_ + ahead, toks_.size() - 1)];
-  }
+  const Tok& Peek() const { return toks_[std::min(pos_, toks_.size() - 1)]; }
   Tok Take() { return toks_[std::min(pos_++, toks_.size() - 1)]; }
   bool PeekKeyword(std::string_view kw) const {
     return Peek().kind == TokKind::kIdent && AsciiToLower(Peek().text) == kw;
@@ -91,21 +83,10 @@ class Parser {
     if (TakeKeyword("create")) {
       HTL_RETURN_IF_ERROR(ExpectKeyword("table"));
       Statement s;
+      s.kind = Statement::Kind::kCreateTableAs;
       HTL_ASSIGN_OR_RETURN(s.table, ExpectIdent());
-      if (TakeKeyword("as")) {
-        s.kind = Statement::Kind::kCreateTableAs;
-        HTL_ASSIGN_OR_RETURN(s.select, ParseSelect());
-        return s;
-      }
-      HTL_RETURN_IF_ERROR(ExpectSymbol("("));
-      s.kind = Statement::Kind::kCreateTable;
-      while (true) {
-        HTL_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
-        s.columns.push_back(std::move(col));
-        if (TakeSymbol(",")) continue;
-        break;
-      }
-      HTL_RETURN_IF_ERROR(ExpectSymbol(")"));
+      HTL_RETURN_IF_ERROR(ExpectKeyword("as"));
+      HTL_ASSIGN_OR_RETURN(s.select, ParseSelect());
       return s;
     }
     if (TakeKeyword("drop")) {
@@ -119,33 +100,7 @@ class Parser {
       HTL_ASSIGN_OR_RETURN(s.table, ExpectIdent());
       return s;
     }
-    if (TakeKeyword("insert")) {
-      HTL_RETURN_IF_ERROR(ExpectKeyword("into"));
-      Statement s;
-      HTL_ASSIGN_OR_RETURN(s.table, ExpectIdent());
-      if (TakeKeyword("values")) {
-        s.kind = Statement::Kind::kInsertValues;
-        while (true) {
-          HTL_RETURN_IF_ERROR(ExpectSymbol("("));
-          std::vector<ExprPtr> row;
-          while (true) {
-            HTL_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
-            row.push_back(std::move(e));
-            if (TakeSymbol(",")) continue;
-            break;
-          }
-          HTL_RETURN_IF_ERROR(ExpectSymbol(")"));
-          s.values.push_back(std::move(row));
-          if (TakeSymbol(",")) continue;
-          break;
-        }
-        return s;
-      }
-      s.kind = Statement::Kind::kInsertSelect;
-      HTL_ASSIGN_OR_RETURN(s.select, ParseSelect());
-      return s;
-    }
-    return Error("expected SELECT, CREATE, DROP, or INSERT");
+    return Error("expected SELECT, CREATE, or DROP");
   }
 
   Result<std::unique_ptr<SelectStmt>> ParseSelect() {
@@ -180,12 +135,8 @@ class Parser {
         }
         JoinType jt;
         if (TakeKeyword("left")) {
-          TakeKeyword("outer");
           HTL_RETURN_IF_ERROR(ExpectKeyword("join"));
           jt = JoinType::kLeft;
-        } else if (TakeKeyword("inner")) {
-          HTL_RETURN_IF_ERROR(ExpectKeyword("join"));
-          jt = JoinType::kInner;
         } else if (TakeKeyword("join")) {
           jt = JoinType::kInner;
         } else {
@@ -209,28 +160,6 @@ class Parser {
         break;
       }
     }
-    if (TakeKeyword("having")) {
-      HTL_ASSIGN_OR_RETURN(stmt->having, ParseExpr());
-    }
-    if (TakeKeyword("order")) {
-      HTL_RETURN_IF_ERROR(ExpectKeyword("by"));
-      while (true) {
-        OrderItem item;
-        HTL_ASSIGN_OR_RETURN(item.expr, ParseExpr());
-        if (TakeKeyword("desc")) {
-          item.desc = true;
-        } else {
-          TakeKeyword("asc");
-        }
-        stmt->order_by.push_back(std::move(item));
-        if (TakeSymbol(",")) continue;
-        break;
-      }
-    }
-    if (TakeKeyword("limit")) {
-      if (Peek().kind != TokKind::kInt) return Error("expected integer after LIMIT");
-      stmt->limit = Take().number.AsInt();
-    }
     if (TakeKeyword("union")) {
       HTL_RETURN_IF_ERROR(ExpectKeyword("all"));
       HTL_ASSIGN_OR_RETURN(stmt->union_all, ParseSelect());
@@ -240,8 +169,7 @@ class Parser {
 
   bool IsClauseKeyword() const {
     static constexpr std::string_view kClauses[] = {
-        "from", "where", "group", "having", "order", "limit",
-        "union", "on",    "left",  "inner",  "join",  "as"};
+        "from", "where", "group", "union", "on", "left", "join", "as"};
     const std::string lower = AsciiToLower(Peek().text);
     for (std::string_view kw : kClauses) {
       if (lower == kw) return true;
@@ -316,29 +244,6 @@ class Parser {
     return ParseComparison();
   }
 
-  // Deep copy (needed to desugar BETWEEN / IN, whose operand is reused).
-  static ExprPtr CloneExpr(const Expr& e) {
-    auto out = std::make_unique<Expr>();
-    out->kind = e.kind;
-    out->literal = e.literal;
-    out->table_alias = e.table_alias;
-    out->column = e.column;
-    out->op = e.op;
-    out->fn = e.fn;
-    out->count_star = e.count_star;
-    out->is_not_null = e.is_not_null;
-    for (const auto& a : e.args) out->args.push_back(CloneExpr(*a));
-    return out;
-  }
-
-  static ExprPtr Negate(ExprPtr e) {
-    auto out = std::make_unique<Expr>();
-    out->kind = ExprKind::kUnary;
-    out->op = "not";
-    out->args.push_back(std::move(e));
-    return out;
-  }
-
   Result<ExprPtr> ParseComparison() {
     HTL_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAdd());
     if (TakeKeyword("is")) {
@@ -349,38 +254,6 @@ class Parser {
       e->args.push_back(std::move(lhs));
       return ExprPtr(std::move(e));
     }
-    // [NOT] BETWEEN a AND b  /  [NOT] IN (v, ...): desugared.
-    bool negated = false;
-    if (PeekKeyword("not") &&
-        (AsciiToLower(Peek(1).text) == "between" || AsciiToLower(Peek(1).text) == "in")) {
-      TakeKeyword("not");
-      negated = true;
-    }
-    if (TakeKeyword("between")) {
-      HTL_ASSIGN_OR_RETURN(ExprPtr lo, ParseAdd());
-      HTL_RETURN_IF_ERROR(ExpectKeyword("and"));
-      HTL_ASSIGN_OR_RETURN(ExprPtr hi, ParseAdd());
-      ExprPtr lhs_copy = CloneExpr(*lhs);  // Before moving lhs below.
-      ExprPtr lower = MakeBinary(">=", std::move(lhs_copy), std::move(lo));
-      ExprPtr upper = MakeBinary("<=", std::move(lhs), std::move(hi));
-      ExprPtr range = MakeBinary("and", std::move(lower), std::move(upper));
-      return negated ? Negate(std::move(range)) : std::move(range);
-    }
-    if (TakeKeyword("in")) {
-      HTL_RETURN_IF_ERROR(ExpectSymbol("("));
-      ExprPtr any;
-      while (true) {
-        HTL_ASSIGN_OR_RETURN(ExprPtr v, ParseExpr());
-        ExprPtr lhs_copy = CloneExpr(*lhs);
-        ExprPtr eq = MakeBinary("=", std::move(lhs_copy), std::move(v));
-        any = any ? MakeBinary("or", std::move(any), std::move(eq)) : std::move(eq);
-        if (TakeSymbol(",")) continue;
-        break;
-      }
-      HTL_RETURN_IF_ERROR(ExpectSymbol(")"));
-      return negated ? Negate(std::move(any)) : std::move(any);
-    }
-    if (negated) return Error("expected BETWEEN or IN after NOT");
     for (std::string_view op : {"=", "!=", "<=", ">=", "<", ">"}) {
       if (PeekSymbol(op)) {
         ++pos_;
@@ -449,7 +322,7 @@ class Parser {
         ++pos_;
         auto e = std::make_unique<Expr>();
         const std::string fn = AsciiToLower(name);
-        if (IsAggregateName(fn)) {
+        if (fn == "max") {
           e->kind = ExprKind::kAggregate;
         } else if (IsFunctionName(fn)) {
           e->kind = ExprKind::kFunction;
@@ -457,11 +330,6 @@ class Parser {
           return Error(StrCat("unknown function '", name, "'"));
         }
         e->fn = fn;
-        if (fn == "count" && TakeSymbol("*")) {
-          e->count_star = true;
-          HTL_RETURN_IF_ERROR(ExpectSymbol(")"));
-          return ExprPtr(std::move(e));
-        }
         while (true) {
           HTL_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
           e->args.push_back(std::move(arg));

@@ -42,17 +42,6 @@ Status SqlSystem::LoadTableInputs(const Translation& translation,
   return Status::OK();
 }
 
-Result<SimilarityList> SqlSystem::EvaluateTables(
-    const Formula& f, const std::map<std::string, TableInput>& inputs, int64_t n,
-    const TranslateOptions& options) {
-  std::map<std::string, double> input_max;
-  for (const auto& [name, input] : inputs) input_max[name] = input.max;
-  HTL_ASSIGN_OR_RETURN(Translation translation,
-                       TranslateToSql(f, input_max, "q", options));
-  HTL_RETURN_IF_ERROR(LoadTableInputs(translation, inputs, n));
-  return Run(translation);
-}
-
 Result<SimilarityList> SqlSystem::EvaluateConjunctive(
     const Formula& f, const std::map<std::string, TableInput>& inputs,
     const std::map<std::string, ValueTable>& values, int64_t n,

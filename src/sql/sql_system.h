@@ -51,16 +51,11 @@ class SqlSystem {
   Status LoadTableInputs(const Translation& translation,
                          const std::map<std::string, TableInput>& inputs, int64_t n);
 
-  /// Convenience for type (2): predicates with object-variable arguments,
-  /// backed by similarity tables.
-  Result<SimilarityList> EvaluateTables(const Formula& f,
-                                        const std::map<std::string, TableInput>& inputs,
-                                        int64_t n, const TranslateOptions& options = {});
-
-  /// Convenience for the full conjunctive class: similarity-table leaves
-  /// (which may carry attribute-variable range columns) plus the value
-  /// tables consumed by the formula's freeze quantifiers, keyed by the
-  /// freeze term's ToString() (e.g. "height(z)").
+  /// Convenience for type (2) and the full conjunctive class: similarity-
+  /// table leaves (which may carry attribute-variable range columns) plus
+  /// the value tables consumed by the formula's freeze quantifiers, keyed by
+  /// the freeze term's ToString() (e.g. "height(z)"). A type (2) formula
+  /// has no freeze quantifiers and passes no value tables.
   Result<SimilarityList> EvaluateConjunctive(
       const Formula& f, const std::map<std::string, TableInput>& inputs,
       const std::map<std::string, ValueTable>& values, int64_t n,

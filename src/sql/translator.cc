@@ -10,6 +10,13 @@ namespace htl::sql {
 
 namespace {
 
+// Rounds of pointer-doubling used to compute contiguous-run reach inside
+// the `until` translation. Round r extends reach to runs of length 2^r, so
+// 20 rounds handle runs up to 2^20 ids, far beyond any practical sequence.
+// (Plain 1990s SQL has no recursion, so bounded unrolling is the honest
+// translation.)
+constexpr int kCoalesceRounds = 20;
+
 bool IsSafeIdentifier(const std::string& name) {
   if (name.empty()) return false;
   if (!std::isalpha(static_cast<unsigned char>(name[0])) && name[0] != '_') return false;
@@ -313,7 +320,7 @@ class Translator {
     // 2. reach(binding, id) by pointer doubling within each binding.
     std::string reach = Materialize(StrCat("SELECT ", gcols, "id, id AS reach FROM ",
                                            gth));
-    for (int round = 0; round < options_.coalesce_rounds; ++round) {
+    for (int round = 0; round < kCoalesceRounds; ++round) {
       std::string acols;
       for (const std::string& v : g.vars) acols += StrCat("a.", v, " AS ", v, ", ");
       reach = Materialize(StrCat(

@@ -15,13 +15,6 @@ struct TranslateOptions {
   /// Fractional threshold for the left operand of `until` (must match the
   /// direct engine's QueryOptions::until_threshold for result parity).
   double until_threshold = 0.5;
-
-  /// Rounds of pointer-doubling used to compute contiguous-run reach inside
-  /// the `until` translation. Round r extends reach to runs of length 2^r,
-  /// so the default handles runs up to 2^20 ids — far beyond any practical
-  /// sequence; raise it for adversarial inputs. (Plain 1990s SQL has no
-  /// recursion, so bounded unrolling is the honest translation.)
-  int coalesce_rounds = 20;
 };
 
 /// The result of translating one formula: an ordered SQL script computing
@@ -52,7 +45,7 @@ struct Translation {
   /// Static max similarity of the whole formula (for list reconstruction).
   double result_max = 0;
 
-  /// All statements joined with ";\n" (convenient for Executor::ExecuteScript).
+  /// All statements joined with ";\n", a script ParseScript reads back.
   std::string Script() const;
 };
 

@@ -40,7 +40,8 @@ class Value {
   /// logic; this returns plain boolean with NULLs unequal).
   friend bool operator==(const Value& a, const Value& b);
 
-  /// Total ordering for ORDER BY / sorting: NULL < numerics < strings.
+  /// Total ordering for comparisons, MAX and the range join's sort:
+  /// NULL < numerics < strings.
   static int Compare(const Value& a, const Value& b);
 
   /// Key string for hash joins and GROUP BY.

@@ -402,15 +402,15 @@ TEST(ExecContextSqlTest, ZeroDeadlineStatementReturnsDeadlineExceeded) {
   ExecContext ctx;
   ctx.SetTimeout(milliseconds(0));
   sys.executor().set_exec_context(&ctx);
-  Status s = sys.executor().ExecuteSql("CREATE TABLE t (a);").status();
+  Status s = sys.executor().ExecuteSql("DROP TABLE IF EXISTS t;").status();
   EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
 }
 
 TEST(ExecContextSqlTest, RowBudgetBoundsMaterialization) {
   sql::SqlSystem sys;
-  ASSERT_OK(sys.executor().ExecuteScript("CREATE TABLE t (a);"
-                                         "INSERT INTO t VALUES (1), (2), (3);")
-                .status());
+  sql::Table t({"a"});
+  for (int64_t a = 1; a <= 3; ++a) t.AddRow({sql::Value(a)});
+  sys.catalog().CreateOrReplace("t", std::move(t));
   ExecBudgets budgets;
   budgets.max_rows = 2;
   ExecContext ctx(budgets);

@@ -268,8 +268,10 @@ TEST_F(ServerTest, CacheAndParallelismOptionsAreStable) {
   request.use_cache = false;
   request.parallelism = 1;
   ASSERT_OK_AND_ASSIGN(QueryResponse serial, MakeClient().Query(request));
+  request.use_cache = true;
+  ASSERT_OK_AND_ASSIGN(QueryResponse cached_serial, MakeClient().Query(request));
 
-  for (const QueryResponse* other : {&cached1, &cached2, &serial}) {
+  for (const QueryResponse* other : {&cached1, &cached2, &serial, &cached_serial}) {
     ASSERT_TRUE(other->ok()) << other->message;
     ASSERT_EQ(other->hits.size(), plain.hits.size());
     for (size_t i = 0; i < plain.hits.size(); ++i) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/helpers.h"
 
 namespace htl::sql {
@@ -31,6 +33,18 @@ class ExecutorTest : public ::testing::Test {
     auto r = exec_.ExecuteSql(sql);
     EXPECT_TRUE(r.ok()) << r.status().ToString() << " for: " << sql;
     return r.ok() ? std::move(r).value() : Table();
+  }
+
+  // The result's rows in Value::Compare order, column by column: the
+  // dialect has no ORDER BY, so tests compare row sets.
+  std::vector<Row> SortedRows(std::string_view sql) {
+    std::vector<Row> rows = Run(sql).rows();
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return std::lexicographical_compare(
+          a.begin(), a.end(), b.begin(), b.end(),
+          [](const Value& x, const Value& y) { return Value::Compare(x, y) < 0; });
+    });
+    return rows;
   }
 
   Catalog catalog_;
@@ -71,9 +85,7 @@ TEST_F(ExecutorTest, HashJoin) {
 }
 
 TEST_F(ExecutorTest, LeftJoinPadsNulls) {
-  Table t = Run(
-      "SELECT p.id, q.pet FROM people p LEFT JOIN pets q ON q.owner = p.id "
-      "ORDER BY p.id");
+  Table t = Run("SELECT p.id, q.pet FROM people p LEFT JOIN pets q ON q.owner = p.id");
   EXPECT_EQ(t.num_rows(), 4);  // bob has no pet -> one NULL row.
   bool bob_null = false;
   for (const Row& r : t.rows()) {
@@ -118,46 +130,19 @@ TEST_F(ExecutorTest, CrossJoinIsNestedLoop) {
 }
 
 TEST_F(ExecutorTest, GroupByWithAggregates) {
-  Table t = Run(
-      "SELECT q.owner, COUNT(*) AS n, MIN(q.pet) AS first_pet "
-      "FROM pets q GROUP BY q.owner ORDER BY q.owner");
-  ASSERT_EQ(t.num_rows(), 2);
-  EXPECT_EQ(t.rows()[0][1], Value(int64_t{2}));
-  EXPECT_EQ(t.rows()[0][2], Value("cat"));
-  EXPECT_EQ(t.rows()[1][1], Value(int64_t{1}));
+  std::vector<Row> rows = SortedRows(
+      "SELECT q.owner, MAX(q.pet) AS last_pet, MAX(q.owner) AS max_owner "
+      "FROM pets q GROUP BY q.owner");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (Row{Value(int64_t{1}), Value("dog"), Value(int64_t{1})}));
+  EXPECT_EQ(rows[1], (Row{Value(int64_t{3}), Value("fish"), Value(int64_t{3})}));
 }
 
 TEST_F(ExecutorTest, GlobalAggregateOverEmptyInput) {
-  Table t = Run("SELECT COUNT(*), SUM(age), MAX(age) FROM people WHERE age > 99");
+  Table t = Run("SELECT MAX(id), MAX(age) FROM people WHERE age > 99");
   ASSERT_EQ(t.num_rows(), 1);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{0}));
+  EXPECT_TRUE(t.rows()[0][0].is_null());
   EXPECT_TRUE(t.rows()[0][1].is_null());
-  EXPECT_TRUE(t.rows()[0][2].is_null());
-}
-
-TEST_F(ExecutorTest, SumAvgKinds) {
-  Table t = Run("SELECT SUM(age), AVG(age) FROM people");
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{90}));
-  EXPECT_EQ(t.rows()[0][1], Value(30.0));
-}
-
-TEST_F(ExecutorTest, HavingFiltersGroups) {
-  Table t = Run(
-      "SELECT q.owner FROM pets q GROUP BY q.owner HAVING COUNT(*) >= 2");
-  ASSERT_EQ(t.num_rows(), 1);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{1}));
-}
-
-TEST_F(ExecutorTest, OrderByDescAndLimit) {
-  Table t = Run("SELECT id FROM people ORDER BY age DESC LIMIT 2");
-  ASSERT_EQ(t.num_rows(), 2);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{3}));
-  EXPECT_EQ(t.rows()[1][0], Value(int64_t{1}));
-}
-
-TEST_F(ExecutorTest, OrderByOutputAlias) {
-  Table t = Run("SELECT age * 2 AS d FROM people ORDER BY d");
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{50}));
 }
 
 TEST_F(ExecutorTest, UnionAllConcatenates) {
@@ -171,17 +156,14 @@ TEST_F(ExecutorTest, UnionAllArityMismatch) {
 }
 
 TEST_F(ExecutorTest, FunctionsEvaluate) {
-  Table t = Run(
-      "SELECT LEAST(1, 2), GREATEST(1, 2, 3), COALESCE(NULL, 5), ABS(-4) FROM people "
-      "LIMIT 1");
+  Table t = Run("SELECT LEAST(1, 2), GREATEST(1, 2, 3), COALESCE(NULL, 5) FROM people");
   EXPECT_EQ(t.rows()[0][0], Value(int64_t{1}));
   EXPECT_EQ(t.rows()[0][1], Value(int64_t{3}));
   EXPECT_EQ(t.rows()[0][2], Value(int64_t{5}));
-  EXPECT_EQ(t.rows()[0][3], Value(int64_t{4}));
 }
 
 TEST_F(ExecutorTest, LeastPropagatesNull) {
-  Table t = Run("SELECT LEAST(1, NULL) FROM people LIMIT 1");
+  Table t = Run("SELECT LEAST(1, NULL) FROM people");
   EXPECT_TRUE(t.rows()[0][0].is_null());
 }
 
@@ -191,31 +173,15 @@ TEST_F(ExecutorTest, NullComparisonsFilterOut) {
 }
 
 TEST_F(ExecutorTest, DivisionByZeroIsNull) {
-  Table t = Run("SELECT 1 / 0 FROM people LIMIT 1");
+  Table t = Run("SELECT 1 / 0 FROM people");
   EXPECT_TRUE(t.rows()[0][0].is_null());
-}
-
-TEST_F(ExecutorTest, CreateInsertSelectRoundTrip) {
-  ASSERT_OK(exec_.ExecuteSql("CREATE TABLE tmp (a, b)").status());
-  ASSERT_OK(exec_.ExecuteSql("INSERT INTO tmp VALUES (1, 'x'), (2, 'y')").status());
-  ASSERT_OK(exec_.ExecuteSql("INSERT INTO tmp SELECT id, name FROM people").status());
-  Table t = Run("SELECT COUNT(*) FROM tmp");
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{5}));
 }
 
 TEST_F(ExecutorTest, CreateTableAsMaterializes) {
   ASSERT_OK(exec_.ExecuteSql("CREATE TABLE olds AS SELECT id FROM people WHERE age >= 30")
                 .status());
-  Table t = Run("SELECT COUNT(*) FROM olds");
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{2}));
-}
-
-TEST_F(ExecutorTest, ScriptReturnsLastSelect) {
-  auto r = exec_.ExecuteScript(
-      "DROP TABLE IF EXISTS z; CREATE TABLE z (v); INSERT INTO z VALUES (7); "
-      "SELECT v FROM z;");
-  ASSERT_OK(r.status());
-  EXPECT_EQ(r.value().rows()[0][0], Value(int64_t{7}));
+  Table t = Run("SELECT id FROM olds");
+  EXPECT_EQ(t.num_rows(), 2);
 }
 
 TEST_F(ExecutorTest, UnknownTableErrors) {
@@ -233,15 +199,15 @@ TEST_F(ExecutorTest, AmbiguousColumnErrors) {
 }
 
 TEST_F(ExecutorTest, AggregateInWhereRejected) {
-  EXPECT_FALSE(exec_.ExecuteSql("SELECT id FROM people WHERE COUNT(*) > 1").ok());
+  EXPECT_FALSE(exec_.ExecuteSql("SELECT id FROM people WHERE MAX(age) > 1").ok());
 }
 
 TEST_F(ExecutorTest, SelfJoinWithAliases) {
-  Table t = Run(
-      "SELECT a.id, b.id FROM people a JOIN people b ON b.id = a.id + 1 ORDER BY a.id");
-  ASSERT_EQ(t.num_rows(), 2);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{1}));
-  EXPECT_EQ(t.rows()[0][1], Value(int64_t{2}));
+  std::vector<Row> rows =
+      SortedRows("SELECT a.id, b.id FROM people a JOIN people b ON b.id = a.id + 1");
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (Row{Value(int64_t{1}), Value(int64_t{2})}));
+  EXPECT_EQ(rows[1], (Row{Value(int64_t{2}), Value(int64_t{3})}));
 }
 
 TEST_F(ExecutorTest, ResidualConditionOnHashJoin) {
@@ -260,48 +226,11 @@ TEST_F(ExecutorTest, Distinct) {
   dup.AddRow({Value()});
   dup.AddRow({Value()});
   catalog_.CreateOrReplace("dup", std::move(dup));
-  Table t = Run("SELECT DISTINCT v FROM dup ORDER BY v");
-  ASSERT_EQ(t.num_rows(), 3);  // NULL, 1, 2.
-  EXPECT_TRUE(t.rows()[0][0].is_null());
-  EXPECT_EQ(t.rows()[1][0], Value(int64_t{1}));
-  EXPECT_EQ(t.rows()[2][0], Value(int64_t{2}));
-}
-
-TEST_F(ExecutorTest, Between) {
-  Table t = Run("SELECT id FROM people WHERE age BETWEEN 25 AND 30 ORDER BY id");
-  ASSERT_EQ(t.num_rows(), 2);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{1}));
-  EXPECT_EQ(t.rows()[1][0], Value(int64_t{2}));
-}
-
-TEST_F(ExecutorTest, NotBetween) {
-  Table t = Run("SELECT id FROM people WHERE age NOT BETWEEN 25 AND 30");
-  ASSERT_EQ(t.num_rows(), 1);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{3}));
-}
-
-TEST_F(ExecutorTest, InList) {
-  Table t = Run("SELECT id FROM people WHERE name IN ('ann', 'cid') ORDER BY id");
-  ASSERT_EQ(t.num_rows(), 2);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{1}));
-  EXPECT_EQ(t.rows()[1][0], Value(int64_t{3}));
-}
-
-TEST_F(ExecutorTest, NotInList) {
-  Table t = Run("SELECT id FROM people WHERE id NOT IN (1, 3)");
-  ASSERT_EQ(t.num_rows(), 1);
-  EXPECT_EQ(t.rows()[0][0], Value(int64_t{2}));
-}
-
-TEST_F(ExecutorTest, BetweenInsideJoinCondition) {
-  Table seq({"id"});
-  for (int64_t i = 1; i <= 10; ++i) seq.AddRow({Value(i)});
-  catalog_.CreateOrReplace("seq", std::move(seq));
-  Table iv({"beg", "end"});
-  iv.AddRow({Value(int64_t{3}), Value(int64_t{5})});
-  catalog_.CreateOrReplace("iv", std::move(iv));
-  Table t = Run("SELECT s.id FROM iv a JOIN seq s ON s.id BETWEEN a.beg AND a.end");
-  EXPECT_EQ(t.num_rows(), 3);
+  std::vector<Row> rows = SortedRows("SELECT DISTINCT v FROM dup");
+  ASSERT_EQ(rows.size(), 3u);  // NULL, 1, 2.
+  EXPECT_TRUE(rows[0][0].is_null());
+  EXPECT_EQ(rows[1][0], Value(int64_t{1}));
+  EXPECT_EQ(rows[2][0], Value(int64_t{2}));
 }
 
 }  // namespace

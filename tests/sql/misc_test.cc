@@ -21,12 +21,15 @@ TEST(ExecutorStatsTest, CountsStatementsAndRows) {
   CounterDelta statements("sql.statements");
   CounterDelta rows_materialized("sql.rows_materialized");
   Catalog catalog;
+  Table t({"a"});
+  for (int64_t a = 1; a <= 3; ++a) t.AddRow({Value(a)});
+  catalog.CreateOrReplace("t", std::move(t));
   Executor exec(&catalog);
-  ASSERT_OK(exec.ExecuteSql("CREATE TABLE t (a)").status());
-  ASSERT_OK(exec.ExecuteSql("INSERT INTO t VALUES (1), (2), (3)").status());
-  ASSERT_OK(exec.ExecuteSql("SELECT a FROM t WHERE a >= 2").status());
+  ASSERT_OK(exec.ExecuteSql("DROP TABLE IF EXISTS u").status());
+  ASSERT_OK(exec.ExecuteSql("CREATE TABLE u AS SELECT a FROM t").status());
+  ASSERT_OK(exec.ExecuteSql("SELECT a FROM u WHERE a >= 2").status());
   EXPECT_EQ(statements.value(), 3);
-  EXPECT_GE(rows_materialized.value(), 5);  // 3 inserted + 2 selected.
+  EXPECT_EQ(rows_materialized.value(), 5);  // 3 copied into u + 2 selected.
 }
 
 TEST(ExecutorStatsTest, JoinStrategyCounters) {
@@ -61,9 +64,9 @@ TEST(SqlTablePrinterTest, RendersRowsAndTruncates) {
 
 TEST(SqlExprPrinterTest, RendersOperatorsAndCalls) {
   auto stmt = ParseStatement(
-      "SELECT COUNT(*), LEAST(a, 1) FROM t WHERE NOT (a + 1 = 2) AND b IS NOT NULL");
+      "SELECT MAX(a), LEAST(a, 1) FROM t WHERE NOT (a + 1 = 2) AND b IS NOT NULL");
   ASSERT_OK(stmt.status());
-  EXPECT_EQ(stmt.value().select->items[0].expr->ToString(), "count(*)");
+  EXPECT_EQ(stmt.value().select->items[0].expr->ToString(), "max(a)");
   EXPECT_EQ(stmt.value().select->items[1].expr->ToString(), "least(a, 1)");
   const std::string where = stmt.value().select->where->ToString();
   EXPECT_NE(where.find("not (((a + 1) = 2))"), std::string::npos);

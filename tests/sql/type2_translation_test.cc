@@ -139,7 +139,8 @@ TEST_P(Type2SqlParityTest, SqlMatchesTableAlgebraOnSharedTuples) {
     SimilarityList direct = direct_table.ToList(MaxSimilarity(*f));
     // SQL path.
     sql::SqlSystem sys;
-    ASSERT_OK_AND_ASSIGN(SimilarityList via_sql, sys.EvaluateTables(*f, inputs, kN));
+    ASSERT_OK_AND_ASSIGN(SimilarityList via_sql,
+                         sys.EvaluateConjunctive(*f, inputs, {}, kN));
     EXPECT_TRUE(ListsEqual(via_sql, direct)) << f->ToString();
   }
 }
@@ -157,7 +158,8 @@ TEST_P(Type2SqlParityTest, SingleVariableTuple) {
   ASSERT_OK_AND_ASSIGN(SimilarityTable direct_table, DirectEval(*f, inputs));
   SimilarityList direct = direct_table.ToList(MaxSimilarity(*f));
   sql::SqlSystem sys;
-  ASSERT_OK_AND_ASSIGN(SimilarityList via_sql, sys.EvaluateTables(*f, inputs, kN));
+  ASSERT_OK_AND_ASSIGN(SimilarityList via_sql,
+                       sys.EvaluateConjunctive(*f, inputs, {}, kN));
   EXPECT_TRUE(ListsEqual(via_sql, direct)) << f->ToString();
 }
 
@@ -184,7 +186,8 @@ TEST(Type2SqlTest, PaperFormulaBShape) {
   ASSERT_OK_AND_ASSIGN(SimilarityTable direct_table, DirectEval(*f, inputs));
   SimilarityList direct = direct_table.ToList(MaxSimilarity(*f));
   sql::SqlSystem sys;
-  ASSERT_OK_AND_ASSIGN(SimilarityList via_sql, sys.EvaluateTables(*f, inputs, kN));
+  ASSERT_OK_AND_ASSIGN(SimilarityList via_sql,
+                       sys.EvaluateConjunctive(*f, inputs, {}, kN));
   for (SegmentId id = 1; id <= kN; ++id) {
     EXPECT_LE(via_sql.ActualAt(id), direct.ActualAt(id) + 1e-9) << id;
   }
@@ -207,7 +210,7 @@ TEST(Type2SqlTest, ExistsCollapseMatchesMultiMax) {
   inputs["p0"] = {t, 4.0};
   FormulaPtr f = MakeExists({"x"}, MakePredicate("p0", {"x"}));
   sql::SqlSystem sys;
-  ASSERT_OK_AND_ASSIGN(SimilarityList out, sys.EvaluateTables(*f, inputs, 10));
+  ASSERT_OK_AND_ASSIGN(SimilarityList out, sys.EvaluateConjunctive(*f, inputs, {}, 10));
   EXPECT_TRUE(ListsEqual(out, L({{1, 2, 2.0}, {3, 8, 3.0}}, 4.0)));
 }
 
@@ -230,7 +233,7 @@ TEST(Type2SqlTest, SharedVariableJoinIsPerBinding) {
   FormulaPtr f =
       MakeExists({"x"}, MakeUntil(MakePredicate("g", {"x"}), MakePredicate("h", {"x"})));
   sql::SqlSystem sys;
-  ASSERT_OK_AND_ASSIGN(SimilarityList out, sys.EvaluateTables(*f, inputs, 12));
+  ASSERT_OK_AND_ASSIGN(SimilarityList out, sys.EvaluateConjunctive(*f, inputs, {}, 12));
   // x=1 chain: reach h at 6 from ids 1..6 (value 3); x=2: h alone at 10.
   EXPECT_TRUE(ListsEqual(out, L({{1, 6, 3.0}, {10, 10, 5.0}}, 5.0)));
 }
@@ -240,7 +243,7 @@ TEST(Type2SqlTest, RepeatedVariableRejected) {
   sql::SqlSystem sys;
   TableInputs inputs;
   inputs["p"] = {SimilarityTable({"x", "x"}, {}), 1.0};
-  EXPECT_FALSE(sys.EvaluateTables(*f, inputs, 5).ok());
+  EXPECT_FALSE(sys.EvaluateConjunctive(*f, inputs, {}, 5).ok());
 }
 
 TEST(Type2SqlTest, UnsafeVariableNameRejected) {
@@ -248,7 +251,7 @@ TEST(Type2SqlTest, UnsafeVariableNameRejected) {
   sql::SqlSystem sys;
   TableInputs inputs;
   inputs["p"] = {SimilarityTable({"id"}, {}), 1.0};
-  EXPECT_FALSE(sys.EvaluateTables(*f, inputs, 5).ok());
+  EXPECT_FALSE(sys.EvaluateConjunctive(*f, inputs, {}, 5).ok());
 }
 
 TEST(Type2SqlTest, OpenFormulaRejected) {
@@ -256,7 +259,7 @@ TEST(Type2SqlTest, OpenFormulaRejected) {
   sql::SqlSystem sys;
   TableInputs inputs;
   inputs["p"] = {SimilarityTable({"x"}, {}), 1.0};
-  EXPECT_EQ(sys.EvaluateTables(*f, inputs, 5).status().code(),
+  EXPECT_EQ(sys.EvaluateConjunctive(*f, inputs, {}, 5).status().code(),
             StatusCode::kInvalidArgument);
 }
 
